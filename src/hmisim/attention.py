@@ -72,8 +72,6 @@ AdmissionOutcome = Granted | Queued | Aborted
 class LoadSnapshot:
     cognitive: float
     perceptual: float
-    busy_channels: frozenset[AttentionalChannel]
-    queue_length: int
     cognitive_demand: float
     perceptual_demand: float
 
@@ -83,20 +81,35 @@ class InconsistentStateError(RuntimeError):
 
 
 class AttentionState:
+    """Active instances, the wait queue, and the loads they add up to.
+
+    ``cognitive_sum``/``perceptual_sum`` (active workload),
+    ``cognitive_demand``/``perceptual_demand`` (active plus queued) and
+    ``channel_conflict`` (a queued instance is blocked by its channel) are
+    attributes, recomputed from scratch whenever an instance is activated,
+    released or queued.  ``math.fsum`` is correctly rounded, so they never
+    depend on the order in which instances were admitted.
+    """
+
     def __init__(self) -> None:
         self._active: dict[int, TaskInstance] = {}
         self._by_channel: dict[AttentionalChannel, TaskInstance] = {}
         self._queue: list[TaskInstance] = []
+        self._recompute()
 
     # -- load arithmetic ----------------------------------------------------
 
-    @property
-    def cognitive_sum(self) -> float:
-        return math.fsum(i.task.cognitive_workload for i in self._active.values())
-
-    @property
-    def perceptual_sum(self) -> float:
-        return math.fsum(i.task.perceptual_workload for i in self._active.values())
+    def _recompute(self) -> None:
+        active = self._active.values()
+        self.cognitive_sum = math.fsum(i.task.cognitive_workload for i in active)
+        self.perceptual_sum = math.fsum(i.task.perceptual_workload for i in active)
+        self.cognitive_demand = self.cognitive_sum + math.fsum(
+            i.task.cognitive_workload for i in self._queue
+        )
+        self.perceptual_demand = self.perceptual_sum + math.fsum(
+            i.task.perceptual_workload for i in self._queue
+        )
+        self.channel_conflict = self.queued_channel_conflict()
 
     @property
     def queue_length(self) -> int:
@@ -141,6 +154,7 @@ class AttentionState:
                 coalesced=True,
             )
         self._queue.append(instance)
+        self._recompute()
         return Queued(position=self.queued_instances().index(instance), reason=reason)
 
     def release(self, instance: TaskInstance, now: float, admit: bool = True) -> list[TaskInstance]:
@@ -160,6 +174,7 @@ class AttentionState:
                 f"channel {instance.task.perception_type.value} not held by instance {instance.uid}"
             )
         del self._by_channel[instance.task.perception_type]
+        self._recompute()
         if not admit:
             return []
         admitted: list[TaskInstance] = []
@@ -178,21 +193,16 @@ class AttentionState:
         instance.started_at = now
         self._active[instance.uid] = instance
         self._by_channel[instance.task.perception_type] = instance
+        self._recompute()
 
     # -- observation ---------------------------------------------------------
 
     def snapshot(self) -> LoadSnapshot:
-        queued_cog = math.fsum(i.task.cognitive_workload for i in self._queue)
-        queued_perc = math.fsum(i.task.perceptual_workload for i in self._queue)
-        cog = self.cognitive_sum
-        perc = self.perceptual_sum
         return LoadSnapshot(
-            cognitive=cog,
-            perceptual=perc,
-            busy_channels=frozenset(self._by_channel),
-            queue_length=len(self._queue),
-            cognitive_demand=cog + queued_cog,
-            perceptual_demand=perc + queued_perc,
+            cognitive=self.cognitive_sum,
+            perceptual=self.perceptual_sum,
+            cognitive_demand=self.cognitive_demand,
+            perceptual_demand=self.perceptual_demand,
         )
 
     def queued_channel_conflict(self) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -34,34 +34,30 @@ class SimulationError(Exception):
 
 
 class EventKind(str, Enum):
-    """Tags for everything that can happen on the calendar / in a trace."""
+    """What can be put on the calendar; each value is also its trace tag."""
 
     TRIGGER = "trigger"
-    TASK_START = "task-start"
     TASK_END = "task-end"
-    TASK_ABORT = "task-abort"
     ROAD_CHANGE = "road-change"
     VEHICLE_TRANSITION = "vehicle-transition"
-    MEMORY_UPDATE = "memory-update"
 
 
 @dataclass(eq=False)
 class SimEvent:
-    """A scheduled occurrence.  Also acts as its own cancellation handle."""
+    """A scheduled occurrence."""
 
     time: float
     sequence: int
     kind: EventKind
     payload: Any = None
-    cancelled: bool = field(default=False, repr=False)
-    fired: bool = field(default=False, repr=False)
 
 
 class EventCalendar:
     """Future event list with deterministic same-time ordering.
 
-    Cancellation is lazy: a cancelled event stays in the heap but is
-    skipped when popped.  ``pending`` reflects the live count.
+    Every scheduled event fires exactly once, when :meth:`run_until`
+    reaches its time.  ``pending`` counts the events not yet fired and
+    ``max_pending`` the largest that count has been.
     """
 
     def __init__(self) -> None:
@@ -91,30 +87,18 @@ class EventCalendar:
             self.max_pending = self._pending
         return event
 
-    def cancel(self, event: SimEvent) -> bool:
-        """Cancel a pending event.  Returns False if already fired/cancelled."""
-        if event.fired or event.cancelled:
-            return False
-        event.cancelled = True
-        self._pending -= 1
-        return True
-
-    def run_until(self, t_end: float, dispatcher: Callable[[SimEvent], None]) -> list[SimEvent]:
+    def run_until(self, t_end: float, dispatcher: Callable[[SimEvent], None]) -> None:
         """Fire every pending event with time <= ``t_end`` (inclusive), in order.
 
-        The dispatcher may schedule and cancel further events.  On return the
-        clock sits at ``t_end``.  A dispatcher exception aborts the trial with
-        a diagnostic naming the offending event.
+        The dispatcher may schedule further events.  On return the clock
+        sits at ``t_end``.  A dispatcher exception aborts the trial with a
+        diagnostic naming the offending event.
         """
         if t_end < self.clock:
             raise SimulationError(f"run_until({t_end}) is before current clock t={self.clock}")
-        fired: list[SimEvent] = []
         while self._heap and self._heap[0][0] <= t_end:
             _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self.clock = event.time
-            event.fired = True
             self._pending -= 1
             try:
                 dispatcher(event)
@@ -124,9 +108,7 @@ class EventCalendar:
                 raise SimulationError(
                     f"dispatcher failed on {event.kind.value} event at t={event.time}: {exc}"
                 ) from exc
-            fired.append(event)
         self.clock = t_end
-        return fired
 
 
 class RandomStreams:

@@ -55,7 +55,7 @@ DEFAULT_TRIAL_LENGTH = 60_000.0  # seconds (1000 simulated minutes)
 def run_metrics(
     config: Configuration, scenario: Scenario, seed: int, trial_length: float
 ) -> TrialMetrics:
-    """One trial's indicators, without keeping the trace in memory."""
+    """One trial's indicators; the trial's trace is built and then dropped."""
     return run_trial(config, scenario, seed, trial_length).metrics
 
 

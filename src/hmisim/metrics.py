@@ -26,9 +26,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from .attention import CAP_TOLERANCE, CAPACITY, AbortReason
+from .attention import CAP_TOLERANCE, CAPACITY, AbortReason, AttentionState
+from .vehicle import AutomationStateMachine
 
 METRICS_CSV_HEADER = ["seed", "eyes_off_pct", "cog_overload_pct", "perc_overload_pct", "sa_avg_pct"]
 SUMMARY_CSV_HEADER = ["config", "trials"] + METRICS_CSV_HEADER[1:]
@@ -41,7 +42,10 @@ TIMELINE_CSV_HEADER = [
 
 #: Trace record tags beyond the calendar event kinds.
 RECORD_INIT = "init"
+RECORD_TASK_START = "task-start"
 RECORD_TASK_QUEUED = "task-queued"
+RECORD_TASK_ABORT = "task-abort"
+RECORD_MEMORY_UPDATE = "memory-update"
 RECORD_TRIAL_END = "trial-end"
 
 
@@ -151,67 +155,52 @@ def accrue_overload(
 class MetricsCollector:
     """Accumulates indicators and the trace while a trial runs.
 
-    The orchestrator calls :meth:`advance` with the event time before
-    touching any state (integrating the signals that held since the last
-    record), then applies its changes, then :meth:`record`s them; each
-    record refreshes the signal cache from the provider callables.
+    The collector reads the trial's state where the trial keeps it: the
+    workload sums, demands and channel-conflict flag on ``attention``, the
+    automation level and road cap on ``machine``, and :attr:`awareness`,
+    which the trial sets whenever beliefs or ground truth change.  The
+    orchestrator calls :meth:`advance` with the event time before touching
+    any state (integrating the signals that held since the last record),
+    then applies its changes, then :meth:`record`s them.
     """
 
     def __init__(
-        self,
-        trial_length: float,
-        demand_provider: Callable[[], tuple[float, float]],
-        conflict_provider: Callable[[], bool],
-        awareness_provider: Callable[[], float],
-        level_provider: Callable[[], int],
-        road_max_provider: Callable[[], int],
-        active_sums_provider: Callable[[], tuple[float, float]],
+        self, trial_length: float, attention: AttentionState, machine: AutomationStateMachine
     ) -> None:
         self.trial_length = trial_length
-        self._demand = demand_provider
-        self._conflict = conflict_provider
-        self._awareness = awareness_provider
-        self._level = level_provider
-        self._road_max = road_max_provider
-        self._active_sums = active_sums_provider
+        self.attention = attention
+        self.machine = machine
+        self.awareness = 1.0
         self.records: list[TraceRecord] = []
         self.counts: dict[str, TaskCounts] = {}
         self._last_time = 0.0
-        self._signals = (0.0, 0.0, False, 1.0)  # cog demand, perc demand, conflict, awareness
         self._eyes_off = 0.0
         self._cog_over = 0.0
         self._perc_over = 0.0
         self._sa_integral = 0.0
-        self._refresh()
-
-    def _refresh(self) -> None:
-        cog, perc = self._demand()
-        self._signals = (cog, perc, self._conflict(), self._awareness())
 
     def advance(self, now: float) -> None:
         dt = now - self._last_time
         if dt <= 0:
             return
-        cog, perc, conflict, aware = self._signals
-        if cog > CAPACITY + CAP_TOLERANCE:
+        attention = self.attention
+        if attention.cognitive_demand > CAPACITY + CAP_TOLERANCE:
             self._cog_over += dt
-        if perc > CAPACITY + CAP_TOLERANCE or conflict:
+        if attention.perceptual_demand > CAPACITY + CAP_TOLERANCE or attention.channel_conflict:
             self._perc_over += dt
-        self._sa_integral += aware * dt
+        self._sa_integral += self.awareness * dt
         self._last_time = now
 
     def record(self, now: float, kind: str, payload: dict[str, Any]) -> TraceRecord:
-        self._refresh()
-        active_cog, active_perc = self._active_sums()
         rec = TraceRecord(
             time=now,
             kind=kind,
             payload=payload,
-            cognitive_sum=active_cog,
-            perceptual_sum=active_perc,
-            awareness=self._signals[3],
-            level=self._level(),
-            road_max=self._road_max(),
+            cognitive_sum=self.attention.cognitive_sum,
+            perceptual_sum=self.attention.perceptual_sum,
+            awareness=self.awareness,
+            level=self.machine.state.level,
+            road_max=self.machine.current_max,
         )
         self.records.append(rec)
         return rec

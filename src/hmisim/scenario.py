@@ -271,12 +271,12 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
             continue
         seen.add(name)
         mean = entry.get("mean")
-        if not isinstance(mean, (int, float)) or mean <= 0:
-            issues.append(Violation("error", spot, "mean must be a number > 0"))
+        if not isinstance(mean, (int, float)) or not math.isfinite(mean) or mean <= 0:
+            issues.append(Violation("error", spot, f"mean must be a number > 0 and finite, got {mean!r}"))
             continue
         sigma = entry.get("sigma", default_sigma(float(mean)))
-        if not isinstance(sigma, (int, float)) or sigma < 0:
-            issues.append(Violation("error", spot, "sigma must be >= 0"))
+        if not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma < 0:
+            issues.append(Violation("error", spot, f"sigma must be >= 0 and finite, got {sigma!r}"))
             continue
         if "levels" in entry and entry["levels"] is not None:
             levels = set()

@@ -132,9 +132,6 @@ class Configuration:
     def task_map(self) -> dict[str, Task]:
         return {t.name: t for t in self.tasks}
 
-    def element_for(self, task: Task) -> InterfaceElement:
-        return self.elements[task.location]
-
 
 # ---------------------------------------------------------------------------
 # parsing helpers
@@ -201,8 +198,8 @@ def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, Int
         if not isinstance(on_road, bool):
             issues.append(Violation("error", spot, f"on_road must be a boolean, got {on_road!r}"))
             continue
-        if not isinstance(gaze, (int, float)) or isinstance(gaze, bool) or gaze < 0:
-            issues.append(Violation("error", spot, f"gaze_time must be a number >= 0, got {gaze!r}"))
+        if not isinstance(gaze, (int, float)) or isinstance(gaze, bool) or not math.isfinite(gaze) or gaze < 0:
+            issues.append(Violation("error", spot, f"gaze_time must be a number >= 0 and finite, got {gaze!r}"))
             continue
         if name in elements:
             issues.append(Violation("error", spot, f"duplicate element name {name!r}"))
@@ -467,10 +464,10 @@ def validate(config: Configuration) -> list[Violation]:
         seen.add(task.name)
         if task.location not in config.elements:
             issues.append(Violation("error", where, f"location {task.location!r} is not a known element"))
-        if not task.duration > 0:
-            issues.append(Violation("error", where, f"duration must be > 0, got {task.duration}"))
-        if task.gaze_time < 0:
-            issues.append(Violation("error", where, f"gaze_time must be >= 0, got {task.gaze_time}"))
+        if not math.isfinite(task.duration) or task.duration <= 0:
+            issues.append(Violation("error", where, f"duration must be > 0 and finite, got {task.duration}"))
+        if not math.isfinite(task.gaze_time) or task.gaze_time < 0:
+            issues.append(Violation("error", where, f"gaze_time must be >= 0 and finite, got {task.gaze_time}"))
         if task.gaze_time != 0 and task.perception_type is not AttentionalChannel.VISUAL:
             issues.append(
                 Violation(
@@ -490,9 +487,9 @@ def validate(config: Configuration) -> list[Violation]:
         if task.triggers is not None and task.triggers not in names:
             issues.append(Violation("error", where, f"triggers unknown task {task.triggers!r}"))
     for element in config.elements.values():
-        if element.gaze_time < 0:
+        if not math.isfinite(element.gaze_time) or element.gaze_time < 0:
             issues.append(
-                Violation("error", f"element {element.name}", f"gaze_time must be >= 0")
+                Violation("error", f"element {element.name}", "gaze_time must be >= 0 and finite")
             )
     for value_key, value in config.scale.entries.items():
         if not 0.0 < value <= WORKLOAD_MAX:

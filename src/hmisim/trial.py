@@ -23,7 +23,10 @@ from .attention import Aborted, AttentionState, Granted, Queued, TaskInstance
 from .engine import EventCalendar, EventKind, RandomStreams, SimEvent
 from .metrics import (
     RECORD_INIT,
+    RECORD_MEMORY_UPDATE,
+    RECORD_TASK_ABORT,
     RECORD_TASK_QUEUED,
+    RECORD_TASK_START,
     RECORD_TRIAL_END,
     MetricsCollector,
     TraceRecord,
@@ -113,18 +116,8 @@ class _Trial:
                 self.memory.initialize(name, driver_mod.discretize(self.truth.get(name), param.resolution))
 
         self.attention = AttentionState()
-        self.collector = MetricsCollector(
-            trial_length=trial_length,
-            demand_provider=self._demand,
-            conflict_provider=self.attention.queued_channel_conflict,
-            awareness_provider=self._awareness,
-            level_provider=lambda: self.machine.state.level,
-            road_max_provider=lambda: self.machine.current_max,
-            active_sums_provider=lambda: (
-                self.attention.cognitive_sum,
-                self.attention.perceptual_sum,
-            ),
-        )
+        self.collector = MetricsCollector(trial_length, self.attention, self.machine)
+        self._update_awareness()
 
         # Everything time-driven is scheduled before the clock starts:
         # road boundaries, take-over requests, the speed script chain, and
@@ -148,14 +141,11 @@ class _Trial:
                 driver_mod.next_trigger(function, stream, 0.0), EventKind.TRIGGER, function
             )
 
-    # -- signal providers ------------------------------------------------------
-
-    def _demand(self) -> tuple[float, float]:
-        snap = self.attention.snapshot()
-        return snap.cognitive_demand, snap.perceptual_demand
-
-    def _awareness(self) -> float:
-        return driver_mod.awareness(self.memory, self.truth, self.scenario.awareness)
+    def _update_awareness(self) -> None:
+        """Re-score awareness; called after every change to beliefs or ground truth."""
+        self.collector.awareness = driver_mod.awareness(
+            self.memory, self.truth, self.scenario.awareness
+        )
 
     # -- main loop ---------------------------------------------------------------
 
@@ -236,7 +226,7 @@ class _Trial:
             self.collector.add_abort(outcome.reason, task.total_time())
             self.collector.record(
                 now,
-                EventKind.TASK_ABORT.value,
+                RECORD_TASK_ABORT,
                 {
                     "task": name,
                     "instance": instance.uid,
@@ -271,7 +261,7 @@ class _Trial:
         self.calendar.schedule(now + task.total_time(), EventKind.TASK_END, instance)
         self.collector.record(
             now,
-            EventKind.TASK_START.value,
+            RECORD_TASK_START,
             {
                 "task": task.name,
                 "instance": instance.uid,
@@ -311,9 +301,10 @@ class _Trial:
             self.memory, self.truth, task.awareness_parameter, self.scenario.awareness, now
         )
         if update is not None:
+            self._update_awareness()
             self.collector.record(
                 now,
-                EventKind.MEMORY_UPDATE.value,
+                RECORD_MEMORY_UPDATE,
                 {
                     "parameter": update.parameter,
                     "value": update.value,
@@ -334,6 +325,7 @@ class _Trial:
             else TransitionKind.DRIVER_SWITCH_DOWN
         )
         result = self.machine.transition(TransitionEvent(kind=kind, target=control.target), now)
+        self._update_awareness()
         self.collector.record(
             now,
             EventKind.VEHICLE_TRANSITION.value,
@@ -353,6 +345,7 @@ class _Trial:
         previous_max = self.machine.current_max
         previous_level = self.machine.state.level
         result = self.machine.on_boundary(segment, now)
+        self._update_awareness()
         self.collector.record(
             now,
             EventKind.ROAD_CHANGE.value,
@@ -391,6 +384,7 @@ class _Trial:
 
     def _on_speed_change(self, change: _SpeedChange, now: float) -> None:
         self.machine.set_speed(change.value)
+        self._update_awareness()
         self.collector.record(
             now,
             EventKind.VEHICLE_TRANSITION.value,

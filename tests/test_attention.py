@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -253,8 +254,6 @@ def test_snapshot_reports_loads_and_demands():
     snap = state.snapshot()
     assert snap.cognitive == 2.0
     assert snap.perceptual == 3.0
-    assert snap.busy_channels == frozenset({AttentionalChannel.VISUAL})
-    assert snap.queue_length == 1
     assert snap.cognitive_demand == pytest.approx(3.5)
     assert snap.perceptual_demand == pytest.approx(5.5)
 
@@ -301,4 +300,13 @@ def test_randomized_invariants_hold_under_churn():
         # caps honored
         assert state.cognitive_sum <= CAPACITY + 1e-9
         assert state.perceptual_sum <= CAPACITY + 1e-9
+        # kept loads equal a from-scratch recomputation, bit for bit
+        queued = state.queued_instances()
+        cognitive = math.fsum(i.task.cognitive_workload for i in active)
+        perceptual = math.fsum(i.task.perceptual_workload for i in active)
+        assert state.cognitive_sum == cognitive
+        assert state.perceptual_sum == perceptual
+        assert state.cognitive_demand == cognitive + math.fsum(i.task.cognitive_workload for i in queued)
+        assert state.perceptual_demand == perceptual + math.fsum(i.task.perceptual_workload for i in queued)
+        assert state.channel_conflict == any(q.task.perception_type in busy for q in queued)
         live = [i for i in live if i.uid in {a.uid for a in active}]

@@ -65,6 +65,44 @@ def test_validate_missing_file_fails(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    ("name", "old", "new", "message"),
+    [
+        (
+            "demo_elements.yaml", "gaze_time: 0.2", "gaze_time: .nan",
+            "elements[0]: gaze_time must be a number >= 0 and finite, got nan",
+        ),
+        (
+            "demo_tasks.csv", ",1.0,,speed_check,", ",inf,,speed_check,",
+            "task check_speed: duration must be > 0 and finite, got inf",
+        ),
+        (
+            "demo_scenario.yaml", "mean: 20, sigma: 5", "mean: .inf, sigma: 5",
+            "cognitive_functions[0]: mean must be a number > 0 and finite, got inf",
+        ),
+        (
+            "demo_scenario.yaml", "mean: 20, sigma: 5", "mean: 20, sigma: .inf",
+            "cognitive_functions[0]: sigma must be >= 0 and finite, got inf",
+        ),
+    ],
+)
+def test_non_finite_input_fails_validate_and_run(tmp_path, capsys, name, old, new, message):
+    paths = {n: PKG_DATA / n for n in ("demo_tasks.csv", "demo_elements.yaml", "demo_scenario.yaml")}
+    text = paths[name].read_text()
+    assert text.count(old) == 1
+    paths[name] = tmp_path / name
+    paths[name].write_text(text.replace(old, new))
+    inputs = [
+        "--tasks", str(paths["demo_tasks.csv"]),
+        "--elements", str(paths["demo_elements.yaml"]),
+        "--scenario", str(paths["demo_scenario.yaml"]),
+    ]
+    assert main(["validate", *inputs]) == 1
+    assert message in capsys.readouterr().out
+    assert main(["run", *inputs, "--length", "100", "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # run / export-trace
 

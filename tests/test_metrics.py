@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,46 +108,36 @@ def test_accrue_overload_exact_capacity_is_not_overload():
 # collector
 
 
-class Signals:
-    """Mutable stand-in for the trial state the collector samples."""
-
-    def __init__(self):
-        self.demand = (0.0, 0.0)
-        self.conflict = False
-        self.awareness = 1.0
-        self.level = 2
-        self.road_max = 2
-        self.active = (0.0, 0.0)
-
-    def collector(self, length):
-        return MetricsCollector(
-            trial_length=length,
-            demand_provider=lambda: self.demand,
-            conflict_provider=lambda: self.conflict,
-            awareness_provider=lambda: self.awareness,
-            level_provider=lambda: self.level,
-            road_max_provider=lambda: self.road_max,
-            active_sums_provider=lambda: self.active,
-        )
+def make_collector(length):
+    """A collector over mutable stand-ins for the trial state it reads."""
+    attention = SimpleNamespace(
+        cognitive_sum=0.0,
+        perceptual_sum=0.0,
+        cognitive_demand=0.0,
+        perceptual_demand=0.0,
+        channel_conflict=False,
+    )
+    machine = SimpleNamespace(state=SimpleNamespace(level=2), current_max=2)
+    return MetricsCollector(length, attention, machine)
 
 
 def test_collector_integrates_piecewise_signals():
-    signals = Signals()
-    collector = signals.collector(length=100.0)
+    collector = make_collector(length=100.0)
+    attention = collector.attention
 
     collector.advance(20.0)  # 0-20: nothing over, awareness 1
-    signals.demand = (11.0, 0.0)
-    signals.awareness = 0.5
+    attention.cognitive_demand = 11.0
+    collector.awareness = 0.5
     collector.record(20.0, "x", {})
 
     collector.advance(30.0)  # 20-30: cognitive over, awareness 0.5
-    signals.demand = (0.0, 0.0)
-    signals.conflict = True
+    attention.cognitive_demand = 0.0
+    attention.channel_conflict = True
     collector.record(30.0, "x", {})
 
     collector.advance(45.0)  # 30-45: channel conflict -> perceptual over
-    signals.conflict = False
-    signals.awareness = 1.0
+    attention.channel_conflict = False
+    collector.awareness = 1.0
     collector.record(45.0, "x", {})
 
     collector.add_eyes_off(4.2)
@@ -162,8 +153,7 @@ def test_collector_integrates_piecewise_signals():
 
 
 def test_collector_abort_point_contributions():
-    signals = Signals()
-    collector = signals.collector(length=10.0)
+    collector = make_collector(length=10.0)
     collector.add_abort(AbortReason.COGNITIVE, 1.0)
     collector.add_abort(AbortReason.CHANNEL, 2.0)
     collector.add_abort(AbortReason.PERCEPTUAL, 3.0)
@@ -173,8 +163,7 @@ def test_collector_abort_point_contributions():
 
 
 def test_collector_overload_fractions_clamped_to_100():
-    signals = Signals()
-    collector = signals.collector(length=10.0)
+    collector = make_collector(length=10.0)
     collector.add_abort(AbortReason.COGNITIVE, 25.0)  # more than the trial itself
     metrics = collector.finalize(seed=1)
     assert metrics.cognitive_overload_fraction == 100.0
@@ -182,12 +171,12 @@ def test_collector_overload_fractions_clamped_to_100():
 
 
 def test_collector_records_snapshot_fields():
-    signals = Signals()
-    collector = signals.collector(length=10.0)
-    signals.active = (3.0, 4.0)
-    signals.awareness = 0.75
-    signals.level = 4
-    signals.road_max = 4
+    collector = make_collector(length=10.0)
+    collector.attention.cognitive_sum = 3.0
+    collector.attention.perceptual_sum = 4.0
+    collector.awareness = 0.75
+    collector.machine.state.level = 4
+    collector.machine.current_max = 4
     rec = collector.record(2.0, "task-start", {"task": "check_speed"})
     assert rec.time == 2.0
     assert rec.kind == "task-start"
@@ -200,8 +189,7 @@ def test_collector_records_snapshot_fields():
 
 
 def test_collector_count_accumulates_per_task():
-    signals = Signals()
-    collector = signals.collector(length=10.0)
+    collector = make_collector(length=10.0)
     collector.count("a").triggered += 1
     collector.count("a").executed += 1
     collector.count("b").aborted += 1
