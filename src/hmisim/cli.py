@@ -17,6 +17,7 @@ back to the current directory).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -350,8 +351,9 @@ def _batch_settings(
         )
     seeds = seeds[:trials]
     length = args.length if args.length is not None else (plan.trial_length if plan else DEFAULT_TRIAL_LENGTH)
-    if length <= 0:
-        raise ConfigurationError([Violation("error", "trials", f"trial length must be > 0, got {length}")])
+    if not 0 < length < math.inf:
+        message = f"trial length must be > 0 and finite, got {length}"
+        raise ConfigurationError([Violation("error", "trials", message)])
     jobs = args.jobs if args.jobs is not None else (plan.jobs if plan else 1)
     if jobs < 1:
         raise ConfigurationError([Violation("error", "trials", f"jobs must be >= 1, got {jobs}")])

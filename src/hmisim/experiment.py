@@ -138,15 +138,16 @@ def compare(
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Weights of the minimized components; all >= 0, not all zero."""
+    """Weights of the minimized components; all >= 0 and finite, not all zero."""
 
     cognitive: float = 1.0
     perceptual: float = 1.0
     eyes_off: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.cognitive, self.perceptual, self.eyes_off) < 0:
-            raise ValueError("objective weights must be >= 0")
+        weights = (self.cognitive, self.perceptual, self.eyes_off)
+        if not all(0 <= w < math.inf for w in weights):
+            raise ValueError(f"objective weights must be >= 0 and finite, got {weights}")
         if self.cognitive == self.perceptual == self.eyes_off == 0:
             raise ValueError("at least one objective weight must be > 0")
 
@@ -658,8 +659,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         )
 
     length = raw.get("trial_length", DEFAULT_TRIAL_LENGTH)
-    if not isinstance(length, (int, float)) or length <= 0:
-        issues.append(Violation("error", where, "trial_length must be > 0"))
+    if not isinstance(length, (int, float)) or not 0 < length < math.inf:
+        issues.append(Violation("error", where, f"trial_length must be > 0 and finite, got {length!r}"))
         length = DEFAULT_TRIAL_LENGTH
 
     sa_floor = raw.get("sa_floor")

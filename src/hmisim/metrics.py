@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -47,6 +46,9 @@ RECORD_TASK_QUEUED = "task-queued"
 RECORD_TASK_ABORT = "task-abort"
 RECORD_MEMORY_UPDATE = "memory-update"
 RECORD_TRIAL_END = "trial-end"
+
+#: What ``json.dumps(..., ensure_ascii=False)`` builds per call, built once.
+_TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 @dataclass
@@ -91,19 +93,8 @@ class TraceRecord:
     road_max: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time": self.time,
-                "kind": self.kind,
-                "payload": self.payload,
-                "cognitive_sum": self.cognitive_sum,
-                "perceptual_sum": self.perceptual_sum,
-                "awareness": self.awareness,
-                "level": self.level,
-                "road_max": self.road_max,
-            },
-            ensure_ascii=False,
-        )
+        """One JSON object whose keys follow the field order above."""
+        return _TRACE_ENCODER.encode(vars(self))
 
 
 def eyes_off_contribution(total_time: float, perception_type: str, on_road: bool) -> float:
@@ -256,8 +247,7 @@ def median_low(values: list[float]) -> float:
 class AggregateSummary:
     trials: int
     medians: dict[str, float]
-    per_task_totals: dict[str, TaskCounts]
-    scatter: list[list[float]]  # one row per trial: seed + four indicators
+    scatter: list[list]  # one row per trial: the int seed, then the four indicators
 
 
 def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
@@ -269,16 +259,8 @@ def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
         "perc_overload_pct": median_low([t.perceptual_overload_fraction for t in trials]),
         "sa_avg_pct": median_low([t.sa_average for t in trials]),
     }
-    totals: dict[str, TaskCounts] = {}
-    for trial in trials:
-        for name, counts in trial.per_task_counts.items():
-            into = totals.setdefault(name, TaskCounts())
-            into.triggered += counts.triggered
-            into.executed += counts.executed
-            into.queued += counts.queued
-            into.aborted += counts.aborted
-    scatter = [[float(t.seed), *t.indicator_row()] for t in trials]
-    return AggregateSummary(trials=len(trials), medians=medians, per_task_totals=totals, scatter=scatter)
+    scatter = [[t.seed, *t.indicator_row()] for t in trials]
+    return AggregateSummary(trials=len(trials), medians=medians, scatter=scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -292,99 +274,57 @@ def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    records: list[TraceRecord] = []
+    """Parse a trace; a line with a missing or unknown key raises TypeError."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            records.append(
-                TraceRecord(
-                    time=raw["time"],
-                    kind=raw["kind"],
-                    payload=raw["payload"],
-                    cognitive_sum=raw["cognitive_sum"],
-                    perceptual_sum=raw["perceptual_sum"],
-                    awareness=raw["awareness"],
-                    level=raw["level"],
-                    road_max=raw["road_max"],
-                )
-            )
-    return records
+        return [TraceRecord(**json.loads(line)) for line in handle if line.strip()]
 
 
-def _csv_writer(path: str | Path):
-    handle = open(path, "w", newline="", encoding="utf-8")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_metrics_csv(trials: Iterable[TrialMetrics], path: str | Path) -> None:
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow(METRICS_CSV_HEADER)
-        for t in trials:
-            writer.writerow([t.seed, *(repr(v) for v in t.indicator_row())])
+    _write_csv(path, METRICS_CSV_HEADER, ([t.seed, *map(repr, t.indicator_row())] for t in trials))
 
 
 def write_counts_csv(counts: dict[str, TaskCounts], path: str | Path) -> None:
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow(COUNTS_CSV_HEADER)
-        for name in sorted(counts):
-            c = counts[name]
-            writer.writerow([name, c.triggered, c.executed, c.queued, c.aborted])
+    rows = ([n, c.triggered, c.executed, c.queued, c.aborted] for n, c in sorted(counts.items()))
+    _write_csv(path, COUNTS_CSV_HEADER, rows)
 
 
 def write_summary_csv(summaries: dict[str, AggregateSummary], path: str | Path) -> None:
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow(SUMMARY_CSV_HEADER)
-        for config_name, summary in summaries.items():
-            writer.writerow(
-                [
-                    config_name,
-                    summary.trials,
-                    *(repr(summary.medians[k]) for k in METRICS_CSV_HEADER[1:]),
-                ]
-            )
+    rows = (
+        [name, s.trials, *(repr(s.medians[k]) for k in METRICS_CSV_HEADER[1:])]
+        for name, s in summaries.items()
+    )
+    _write_csv(path, SUMMARY_CSV_HEADER, rows)
 
 
 def write_scatter_csv(summaries: dict[str, AggregateSummary], path: str | Path) -> None:
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow(SCATTER_CSV_HEADER)
-        for config_name, summary in summaries.items():
-            for row in summary.scatter:
-                writer.writerow([config_name, int(row[0]), *(repr(v) for v in row[1:])])
+    rows = (
+        [name, seed, *map(repr, indicators)]
+        for name, s in summaries.items()
+        for seed, *indicators in s.scatter
+    )
+    _write_csv(path, SCATTER_CSV_HEADER, rows)
 
 
 def write_timeline_csv(records: Iterable[TraceRecord], path: str | Path) -> None:
     """Flatten a trace into a plot-ready per-record table."""
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow(TIMELINE_CSV_HEADER)
-        for r in records:
-            subject = r.payload.get("task") or r.payload.get("function") or ""
-            writer.writerow(
-                [
-                    repr(r.time),
-                    r.kind,
-                    subject,
-                    repr(r.cognitive_sum),
-                    repr(r.perceptual_sum),
-                    repr(r.awareness),
-                    r.level,
-                    r.road_max,
-                ]
-            )
+    rows = (
+        [
+            repr(r.time), r.kind, r.payload.get("task") or r.payload.get("function") or "",
+            repr(r.cognitive_sum), repr(r.perceptual_sum), repr(r.awareness), r.level, r.road_max,
+        ]
+        for r in records
+    )
+    _write_csv(path, TIMELINE_CSV_HEADER, rows)
 
 
 def write_paired_csv(
     seeds: list[int], diffs: list[tuple[float, float, float, float]], path: str | Path
 ) -> None:
-    handle, writer = _csv_writer(path)
-    with handle:
-        writer.writerow(PAIRED_CSV_HEADER)
-        for seed, row in zip(seeds, diffs):
-            writer.writerow([seed, *(repr(v) for v in row)])
+    _write_csv(path, PAIRED_CSV_HEADER, ([seed, *map(repr, row)] for seed, row in zip(seeds, diffs)))

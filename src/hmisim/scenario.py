@@ -169,12 +169,13 @@ def _parse_road(
         if level is None or not isinstance(entry, dict):
             continue
         mean = entry.get("mean")
-        if not isinstance(mean, (int, float)) or mean <= 0:
-            issues.append(Violation("error", where, f"dwell mean for level {level} must be > 0"))
+        if not isinstance(mean, (int, float)) or not 0 < mean < math.inf:
+            message = f"dwell mean for level {level} must be > 0 and finite, got {mean!r}"
+            issues.append(Violation("error", where, message))
             continue
         minimum = float(entry.get("min", 0.0))
         maximum = float(entry.get("max", math.inf))
-        if minimum < 0 or maximum < minimum:
+        if not 0 <= minimum <= maximum:
             issues.append(Violation("error", where, f"dwell bounds for level {level} need 0 <= min <= max"))
             continue
         dwell[level] = DwellParams(mean=float(mean), minimum=minimum, maximum=maximum)
@@ -191,8 +192,9 @@ def _parse_road(
             if target == level:
                 issues.append(Violation("error", where, f"self-transition for level {level}"))
                 continue
-            if not isinstance(weight, (int, float)) or weight <= 0:
-                issues.append(Violation("error", where, f"transition weight {level}->{target} must be > 0"))
+            if not isinstance(weight, (int, float)) or not 0 < weight < math.inf:
+                message = f"transition weight {level}->{target} must be > 0 and finite, got {weight!r}"
+                issues.append(Violation("error", where, message))
                 continue
             out[target] = float(weight)
         transitions[level] = out
@@ -230,7 +232,11 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         issues.append(Violation("error", where, "speed must be a mapping"))
         return fallback
     if "constant" in raw:
-        return SpeedScript(kind="constant", constant=float(raw["constant"]))
+        constant = float(raw["constant"])
+        if math.isfinite(constant):
+            return SpeedScript(kind="constant", constant=constant)
+        issues.append(Violation("error", where, f"speed constant must be finite, got {constant}"))
+        return fallback
     if "steps" in raw:
         steps: list[tuple[float, float]] = []
         for i, row in enumerate(raw["steps"] or []):
@@ -241,18 +247,23 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         if not steps or steps[0][0] != 0.0:
             issues.append(Violation("error", where, "speed steps must start at time 0"))
             return fallback
-        if any(b[0] <= a[0] for a, b in zip(steps, steps[1:])):
+        if not all(a[0] < b[0] for a, b in zip(steps, steps[1:])):
             issues.append(Violation("error", where, "speed step times must increase"))
+            return fallback
+        if not all(math.isfinite(value) for _, value in steps):
+            issues.append(Violation("error", where, f"speed step values must be finite, got {steps}"))
             return fallback
         return SpeedScript(kind="steps", steps=tuple(steps))
     if "cycle" in raw:
         cyc = raw["cycle"] or {}
         period = cyc.get("period")
-        values = cyc.get("values")
-        if not isinstance(period, (int, float)) or period <= 0 or not values:
-            issues.append(Violation("error", where, "cycle needs period > 0 and a non-empty values list"))
+        values = tuple(float(v) for v in cyc.get("values") or ())
+        finite = all(map(math.isfinite, values))
+        if not isinstance(period, (int, float)) or not 0 < period < math.inf or not values or not finite:
+            message = "cycle needs period > 0 and a non-empty values list, all finite"
+            issues.append(Violation("error", where, f"{message}; got period {period!r}, values {list(values)}"))
             return fallback
-        return SpeedScript(kind="cycle", period=float(period), values=tuple(float(v) for v in values))
+        return SpeedScript(kind="cycle", period=float(period), values=values)
     issues.append(Violation("error", where, "speed needs one of constant/steps/cycle"))
     return fallback
 
@@ -372,8 +383,9 @@ def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str,
             continue
         entry = entry or {}
         resolution = entry.get("resolution")
-        if resolution is not None and (not isinstance(resolution, (int, float)) or resolution <= 0):
-            issues.append(Violation("error", where, f"{name!r} resolution must be > 0"))
+        if resolution is not None and (not isinstance(resolution, (int, float)) or not 0 < resolution < math.inf):
+            message = f"{name!r} resolution must be > 0 and finite, got {resolution!r}"
+            issues.append(Violation("error", where, message))
             continue
         parameters[name] = AwarenessParameter(
             name=name,

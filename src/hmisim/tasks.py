@@ -195,15 +195,17 @@ def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, Int
         name = str(entry["name"]).strip()
         on_road = entry.get("on_road", False)
         gaze = entry.get("gaze_time", 0.0)
+        reported = len(issues)
         if not isinstance(on_road, bool):
             issues.append(Violation("error", spot, f"on_road must be a boolean, got {on_road!r}"))
-            continue
         if not isinstance(gaze, (int, float)) or isinstance(gaze, bool) or not math.isfinite(gaze) or gaze < 0:
             issues.append(Violation("error", spot, f"gaze_time must be a number >= 0 and finite, got {gaze!r}"))
-            continue
         if name in elements:
             issues.append(Violation("error", spot, f"duplicate element name {name!r}"))
             continue
+        if len(issues) > reported:
+            # The load fails already; keeping the name known spares the tasks on it follow-on errors.
+            on_road, gaze = False, 0.0
         elements[name] = InterfaceElement(name=name, on_road=on_road, gaze_time=float(gaze))
     return elements
 
@@ -310,8 +312,6 @@ def _parse_task_row(
 
     location = cell("Location")
     element = elements.get(location)
-    if element is None:
-        errors.append(Violation("error", where, f"Location {location!r} is not in the element catalog"))
 
     # Gaze time: explicit cell wins; otherwise visual tasks inherit the
     # element's refocus time and non-visual tasks get 0.

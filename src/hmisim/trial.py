@@ -15,6 +15,7 @@ control action.  Ties on the calendar resolve by scheduling order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 
@@ -72,9 +73,9 @@ def run_trial(
     problems += [v for v in cross_validate(scenario, config) if v.severity == "error"]
     if problems:
         raise ConfigurationError(problems)
-    if trial_length <= 0:
+    if not 0 < trial_length < math.inf:
         raise ConfigurationError(
-            [Violation("error", "trial", f"trial length must be > 0, got {trial_length}")]
+            [Violation("error", "trial", f"trial length must be > 0 and finite, got {trial_length}")]
         )
     return _Trial(config, scenario, seed, trial_length).run()
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import hmisim
 from hmisim.cli import main
 from hmisim.experiment import ReallocateLocation, apply_move
 from hmisim.tasks import write_tasks_csv
@@ -84,6 +86,38 @@ def test_validate_missing_file_fails(tmp_path, capsys):
             "demo_scenario.yaml", "mean: 20, sigma: 5", "mean: 20, sigma: .inf",
             "cognitive_functions[0]: sigma must be >= 0 and finite, got inf",
         ),
+        (
+            "demo_scenario.yaml", "mean: 300, min: 90", "mean: .nan, min: 90",
+            "road: dwell mean for level 4 must be > 0 and finite, got nan",
+        ),
+        (
+            "demo_scenario.yaml", "4: {2: 1.0}", "4: {2: .nan}",
+            "road: transition weight 4->2 must be > 0 and finite, got nan",
+        ),
+        (
+            "demo_scenario.yaml", "period: 120", "period: .nan",
+            "speed: cycle needs period > 0 and a non-empty values list, all finite; got period nan",
+        ),
+        (
+            "demo_scenario.yaml", "period: 120", "period: .inf",
+            "speed: cycle needs period > 0 and a non-empty values list, all finite; got period inf",
+        ),
+        (
+            "demo_scenario.yaml", "values: [50, 70,", "values: [.nan, 70,",
+            "speed: cycle needs period > 0 and a non-empty values list, all finite; got period 120, values [nan,",
+        ),
+        (
+            "demo_scenario.yaml", "cycle:\n    period: 120\n    values: [50, 70, 90, 110, 90, 70]", "constant: .nan",
+            "speed: speed constant must be finite, got nan",
+        ),
+        (
+            "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {resolution: .nan}",
+            "awareness: 'speed' resolution must be > 0 and finite, got nan",
+        ),
+        (
+            "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {resolution: .inf}",
+            "awareness: 'speed' resolution must be > 0 and finite, got inf",
+        ),
     ],
 )
 def test_non_finite_input_fails_validate_and_run(tmp_path, capsys, name, old, new, message):
@@ -101,6 +135,18 @@ def test_non_finite_input_fails_validate_and_run(tmp_path, capsys, name, old, ne
     assert message in capsys.readouterr().out
     assert main(["run", *inputs, "--length", "100", "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_rejected_element_is_reported_once(tmp_path, capsys):
+    elements = tmp_path / "elements.yaml"
+    text = (PKG_DATA / "demo_elements.yaml").read_text()
+    assert text.count("gaze_time: 0.2") == 1
+    elements.write_text(text.replace("gaze_time: 0.2", "gaze_time: .nan"))
+    code = main(["validate", *DEMO[:2], "--elements", str(elements)])
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error:")]
+    assert code == 1
+    assert len(errors) == 1
+    assert errors[0].endswith("elements[0]: gaze_time must be a number >= 0 and finite, got nan")
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +180,11 @@ def test_run_twice_is_byte_identical(tmp_path, capsys):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
-def test_run_bad_length_is_validation_failure(tmp_path, capsys):
+@pytest.mark.parametrize("length", ["-5", "nan", "inf"])
+def test_run_bad_length_is_validation_failure(tmp_path, capsys, length):
     code = main([
         "run", *SCRIPTED, *SCRIPTED_SCENARIO,
-        "--length", "-5", "--out", str(tmp_path),
+        "--length", length, "--out", str(tmp_path),
     ])
     assert code == 1
     assert "trial length must be > 0" in capsys.readouterr().err
@@ -210,6 +257,20 @@ def test_compare_needs_inputs(capsys):
     code = main(["compare", "--tasks", "x.csv"])
     assert code == 2
     assert "usage error: compare needs" in capsys.readouterr().err
+
+
+def test_compare_writes_large_seed_exactly(tmp_path, capsys):
+    seed = 2**53 + 1  # the nearest float is 2**53
+    code = main([
+        "compare", *SCRIPTED, "--tasks-b", str(DATA / "scripted_tasks.csv"), *SCRIPTED_SCENARIO,
+        "--seed", str(seed), "--trials", "1", "--length", "100", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    scatter = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
+    paired = (tmp_path / "paired.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in scatter] == [str(seed)] * 2
+    assert [row.split(",")[0] for row in paired] == [str(seed)]
 
 
 def test_compare_via_plan(tmp_path, capsys):
@@ -322,14 +383,21 @@ def test_optimize_via_plan_budget_flag_overrides(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
-def test_optimize_bad_weights(capsys, tmp_path):
+@pytest.mark.parametrize(
+    ("weights", "message"),
+    [
+        ("1,2", "usage error: --weights needs exactly three"),
+        ("nan,1,1", "usage error: bad --weights: objective weights must be >= 0 and finite"),
+    ],
+)
+def test_optimize_bad_weights(capsys, tmp_path, weights, message):
     code = main([
         "optimize", *SCRIPTED, *SCRIPTED_SCENARIO,
-        "--sa-floor", "75", "--budget", "0", "--weights", "1,2",
+        "--sa-floor", "75", "--budget", "0", "--weights", weights,
         "--out", str(tmp_path),
     ])
     assert code == 2
-    assert "usage error: --weights needs exactly three" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_optimize_bad_floor_is_runtime_error(capsys, tmp_path):
@@ -348,10 +416,13 @@ def test_optimize_bad_floor_is_runtime_error(capsys, tmp_path):
 
 
 def test_module_invocation_round_trip(tmp_path):
+    # The child imports hmisim from where this process found it.
+    package_root = str(Path(hmisim.__file__).parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "hmisim.cli", "run", *SCRIPTED, *SCRIPTED_SCENARIO,
          "--seed", "3", "--length", "100", "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": search_path},
     )
     assert result.returncode == 0, result.stderr
     assert "eyes_off_pct=5.6" in result.stdout

@@ -91,6 +91,9 @@ def test_compare_pairs_seeds_one_to_one(demo_config, optimized_config, demo_scen
 def test_weights_validation():
     with pytest.raises(ValueError):
         ObjectiveWeights(cognitive=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be >= 0 and finite"):
+            ObjectiveWeights(eyes_off=bad)
     with pytest.raises(ValueError):
         ObjectiveWeights(cognitive=0.0, perceptual=0.0, eyes_off=0.0)
     assert ObjectiveWeights(cognitive=0.0, perceptual=2.0, eyes_off=0.0).perceptual == 2.0
@@ -484,9 +487,12 @@ def test_plan_trials_can_use_seed_prefix(tmp_path):
         ("master_seeds: 7\n", "list or {first, count}"),
         ("master_seeds: {first: 1, count: 0}\n", "count >= 1"),
         ("trial_length: -1\n", "trial_length must be > 0"),
+        ("trial_length: .inf\n", "trial_length must be > 0 and finite, got inf"),
+        ("trial_length: .nan\n", "trial_length must be > 0 and finite, got nan"),
         ("sa_floor: 140\n", "within [0, 100]"),
         ("budget: -3\n", "budget must be an integer >= 0"),
         ("weights: {cognitive: -1}\n", "bad weights"),
+        ("weights: {eyes_off: .nan}\n", "bad weights: objective weights must be >= 0 and finite"),
         ("jobs: 0\n", "jobs must be an integer >= 1"),
     ],
 )

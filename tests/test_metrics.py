@@ -202,7 +202,7 @@ def test_collector_count_accumulates_per_task():
 # aggregation
 
 
-def make_trial(seed, eyes, cog, perc, sa, counts=None):
+def make_trial(seed, eyes, cog, perc, sa):
     return TrialMetrics(
         seed=seed,
         trial_length=100.0,
@@ -213,14 +213,13 @@ def make_trial(seed, eyes, cog, perc, sa, counts=None):
         eyes_off_seconds=eyes,
         cognitive_overload_seconds=cog,
         perceptual_overload_seconds=perc,
-        per_task_counts=counts or {},
     )
 
 
-def test_aggregate_medians_and_totals():
+def test_aggregate_medians_and_scatter():
     trials = [
-        make_trial(1, 10.0, 1.0, 2.0, 90.0, {"t": TaskCounts(2, 2, 0, 0)}),
-        make_trial(2, 20.0, 3.0, 4.0, 80.0, {"t": TaskCounts(1, 0, 1, 1)}),
+        make_trial(1, 10.0, 1.0, 2.0, 90.0),
+        make_trial(2, 20.0, 3.0, 4.0, 80.0),
         make_trial(3, 30.0, 5.0, 6.0, 70.0),
     ]
     summary = aggregate(trials)
@@ -231,13 +230,12 @@ def test_aggregate_medians_and_totals():
         "perc_overload_pct": 4.0,
         "sa_avg_pct": 80.0,
     }
-    totals = summary.per_task_totals["t"]
-    assert (totals.triggered, totals.executed, totals.queued, totals.aborted) == (3, 2, 1, 1)
     assert summary.scatter == [
-        [1.0, 10.0, 1.0, 2.0, 90.0],
-        [2.0, 20.0, 3.0, 4.0, 80.0],
-        [3.0, 30.0, 5.0, 6.0, 70.0],
+        [1, 10.0, 1.0, 2.0, 90.0],
+        [2, 20.0, 3.0, 4.0, 80.0],
+        [3, 30.0, 5.0, 6.0, 70.0],
     ]
+    assert all(type(row[0]) is int for row in summary.scatter)
 
 
 def test_aggregate_empty_raises():
@@ -278,6 +276,18 @@ def test_trace_round_trip(tmp_path):
     assert len(path.read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize(
+    "edit", [lambda raw: raw.pop("level"), lambda raw: raw.update(extra=1)], ids=["missing", "unknown"]
+)
+def test_read_trace_rejects_missing_or_unknown_key(tmp_path, edit):
+    raw = json.loads(make_record().to_json())
+    edit(raw)
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(raw) + "\n")
+    with pytest.raises(TypeError):
+        read_trace(path)
+
+
 def test_metrics_csv(tmp_path):
     path = tmp_path / "metrics.csv"
     write_metrics_csv([make_trial(7, 12.5, 1.25, 2.5, 87.5)], path)
@@ -304,8 +314,7 @@ def test_summary_and_scatter_csv(tmp_path):
             "perc_overload_pct": 2.0,
             "sa_avg_pct": 90.0,
         },
-        per_task_totals={},
-        scatter=[[1.0, 10.0, 1.0, 2.0, 90.0], [2.0, 11.0, 1.5, 2.5, 89.0]],
+        scatter=[[1, 10.0, 1.0, 2.0, 90.0], [2, 11.0, 1.5, 2.5, 89.0]],
     )
     summary_path = tmp_path / "summary.csv"
     write_summary_csv({"base": summary}, summary_path)

@@ -171,6 +171,8 @@ def test_missing_file_raises(tmp_path):
         ),
         (MINIMAL + "speed:\n  steps:\n    - [5, 50]\n", "must start at time 0"),
         (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [0, 60]\n", "must increase"),
+        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [.nan, 60]\n", "must increase"),
+        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [5, .nan]\n", "step values must be finite"),
         (MINIMAL + "speed:\n  cycle: {period: 0, values: [5]}\n", "period > 0"),
         (MINIMAL + "speed:\n  warp: 9\n", "one of constant/steps/cycle"),
         (MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 0}\n", "mean must be a number > 0"),
