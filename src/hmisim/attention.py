@@ -88,7 +88,8 @@ class AttentionState:
     ``channel_conflict`` (a queued instance is blocked by its channel) are
     attributes, recomputed from scratch whenever an instance is activated,
     released or queued.  ``math.fsum`` is correctly rounded, so they never
-    depend on the order in which instances were admitted.
+    depend on the order in which instances were admitted.  While nothing
+    is queued the demands are the active sums, as ``fsum(())`` is ``0.0``.
     """
 
     def __init__(self) -> None:
@@ -103,6 +104,11 @@ class AttentionState:
         active = self._active.values()
         self.cognitive_sum = math.fsum(i.task.cognitive_workload for i in active)
         self.perceptual_sum = math.fsum(i.task.perceptual_workload for i in active)
+        if not self._queue:
+            self.cognitive_demand = self.cognitive_sum
+            self.perceptual_demand = self.perceptual_sum
+            self.channel_conflict = False
+            return
         self.cognitive_demand = self.cognitive_sum + math.fsum(
             i.task.cognitive_workload for i in self._queue
         )

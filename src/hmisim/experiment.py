@@ -24,7 +24,8 @@ a single simulation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
@@ -55,12 +56,19 @@ DEFAULT_TRIAL_LENGTH = 60_000.0  # seconds (1000 simulated minutes)
 def run_metrics(
     config: Configuration, scenario: Scenario, seed: int, trial_length: float
 ) -> TrialMetrics:
-    """One trial's indicators; the trial's trace is built and then dropped."""
-    return run_trial(config, scenario, seed, trial_length).metrics
+    """One trial's indicators, from a trial that builds no trace."""
+    return run_trial(config, scenario, seed, trial_length, trace=False).metrics
 
 
 def _run_star(args: tuple[Configuration, Scenario, int, float]) -> TrialMetrics:
     return run_metrics(*args)
+
+
+def _pool(jobs: int, seeds: list[int]) -> AbstractContextManager[Executor | None]:
+    """The worker pool for batches over ``seeds``; ``None`` runs them in-process."""
+    if jobs <= 1 or len(seeds) <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=min(jobs, len(seeds)))
 
 
 def run_many(
@@ -69,18 +77,20 @@ def run_many(
     seeds: list[int],
     trial_length: float,
     jobs: int = 1,
+    *,
+    pool: Executor | None = None,
 ) -> list[TrialMetrics]:
     """Run one trial per seed; results come back in seed-list order.
 
-    ``jobs > 1`` fans trials out over worker processes.  Each trial is a
-    pure function of its arguments, so the fan-out changes wall-clock
-    time only, never a single output bit.
+    ``jobs > 1`` fans trials out over worker processes, on ``pool`` when
+    the caller holds one open for several batches.  Each trial is a pure
+    function of its arguments, so the fan-out changes wall-clock time
+    only, never a single output bit.
     """
-    if jobs <= 1 or len(seeds) <= 1:
-        return [run_metrics(config, scenario, s, trial_length) for s in seeds]
-    work = [(config, scenario, s, trial_length) for s in seeds]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-        return list(pool.map(_run_star, work))
+    with nullcontext(pool) if pool is not None else _pool(jobs, seeds) as pool:
+        if pool is None:
+            return [run_metrics(config, scenario, s, trial_length) for s in seeds]
+        return list(pool.map(_run_star, [(config, scenario, s, trial_length) for s in seeds]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +124,10 @@ def compare(
     name_a: str = "A",
     name_b: str = "B",
 ) -> Comparison:
-    """Run both designs on the same seed list and pair the results."""
-    metrics_a = run_many(config_a, scenario, seeds, trial_length, jobs)
-    metrics_b = run_many(config_b, scenario, seeds, trial_length, jobs)
+    """Run both designs on the same seed list (and pool) and pair the results."""
+    with _pool(jobs, seeds) as pool:
+        metrics_a = run_many(config_a, scenario, seeds, trial_length, jobs, pool=pool)
+        metrics_b = run_many(config_b, scenario, seeds, trial_length, jobs, pool=pool)
     diffs = [
         tuple(vb - va for va, vb in zip(a.indicator_row(), b.indicator_row()))
         for a, b in zip(metrics_a, metrics_b)
@@ -441,7 +452,8 @@ def local_search(
     (common random numbers), consuming one unit of ``budget``.  After an
     accepted move the neighborhood is re-enumerated from the new design.
     The search stops at the budget or at a local optimum (a full pass
-    with no accepted move).
+    with no accepted move).  With ``jobs > 1`` every batch runs on one
+    worker pool, held open for the whole search.
     """
     if not 0.0 <= sa_floor <= 100.0:
         raise ValueError(f"sa_floor must be within [0, 100], got {sa_floor}")
@@ -458,43 +470,44 @@ def local_search(
         )
 
     current = config
-    current_metrics = run_many(current, scenario, seeds, trial_length, jobs)
-    current_point = objective_point(current_metrics)
-    initial_metrics = current_metrics
-    initial_point = current_point
     evaluations = 0
     log: list[MoveRecord] = []
     accepted_moves: list[DesignMove] = []
+    with _pool(jobs, seeds) as pool:
+        current_metrics = run_many(current, scenario, seeds, trial_length, jobs, pool=pool)
+        current_point = objective_point(current_metrics)
+        initial_metrics = current_metrics
+        initial_point = current_point
 
-    searching = True
-    while searching and evaluations < budget:
-        searching = False
-        for move in enumerate_moves(current, scenario):
-            if evaluations >= budget:
-                break
-            try:
-                candidate = apply_move(current, move)
-            except ConfigurationError:
-                continue  # structurally invalid; costs no simulation
-            candidate_metrics = run_many(candidate, scenario, seeds, trial_length, jobs)
-            candidate_point = objective_point(candidate_metrics)
-            evaluations += 1
-            accepted, reason = _accepts(current_point, candidate_point, weights, sa_floor)
-            log.append(
-                MoveRecord(
-                    move=move,
-                    accepted=accepted,
-                    before=current_point,
-                    after=candidate_point,
-                    reason=reason,
+        searching = True
+        while searching and evaluations < budget:
+            searching = False
+            for move in enumerate_moves(current, scenario):
+                if evaluations >= budget:
+                    break
+                try:
+                    candidate = apply_move(current, move)
+                except ConfigurationError:
+                    continue  # structurally invalid; costs no simulation
+                candidate_metrics = run_many(candidate, scenario, seeds, trial_length, jobs, pool=pool)
+                candidate_point = objective_point(candidate_metrics)
+                evaluations += 1
+                accepted, reason = _accepts(current_point, candidate_point, weights, sa_floor)
+                log.append(
+                    MoveRecord(
+                        move=move,
+                        accepted=accepted,
+                        before=current_point,
+                        after=candidate_point,
+                        reason=reason,
+                    )
                 )
-            )
-            if accepted:
-                accepted_moves.append(move)
-                current, current_point = candidate, candidate_point
-                current_metrics = candidate_metrics
-                searching = True
-                break  # first improvement: restart from the new incumbent
+                if accepted:
+                    accepted_moves.append(move)
+                    current, current_point = candidate, candidate_point
+                    current_metrics = candidate_metrics
+                    searching = True
+                    break  # first improvement: restart from the new incumbent
 
     return SearchResult(
         config=current,

@@ -81,7 +81,7 @@ class TrialMetrics:
         ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TraceRecord:
     time: float
     kind: str
@@ -144,7 +144,7 @@ def accrue_overload(
 
 
 class MetricsCollector:
-    """Accumulates indicators and the trace while a trial runs.
+    """Accumulates indicators and, when ``trace`` is true, the trace.
 
     The collector reads the trial's state where the trial keeps it: the
     workload sums, demands and channel-conflict flag on ``attention``, the
@@ -152,15 +152,22 @@ class MetricsCollector:
     which the trial sets whenever beliefs or ground truth change.  The
     orchestrator calls :meth:`advance` with the event time before touching
     any state (integrating the signals that held since the last record),
-    then applies its changes, then :meth:`record`s them.
+    then applies its changes, then :meth:`record`s them.  The indicators
+    need only :meth:`advance` and the point accruals: with ``trace=False``,
+    :meth:`record` builds nothing and :attr:`records` stays empty.
     """
 
     def __init__(
-        self, trial_length: float, attention: AttentionState, machine: AutomationStateMachine
+        self,
+        trial_length: float,
+        attention: AttentionState,
+        machine: AutomationStateMachine,
+        trace: bool = True,
     ) -> None:
         self.trial_length = trial_length
         self.attention = attention
         self.machine = machine
+        self.trace = trace
         self.awareness = 1.0
         self.records: list[TraceRecord] = []
         self.counts: dict[str, TaskCounts] = {}
@@ -182,7 +189,9 @@ class MetricsCollector:
         self._sa_integral += self.awareness * dt
         self._last_time = now
 
-    def record(self, now: float, kind: str, payload: dict[str, Any]) -> TraceRecord:
+    def record(self, now: float, kind: str, payload: dict[str, Any]) -> TraceRecord | None:
+        if not self.trace:
+            return None
         rec = TraceRecord(
             time=now,
             kind=kind,

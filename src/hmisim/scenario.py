@@ -148,7 +148,13 @@ def _parse_road(
                 issues.append(Violation("error", where, f"fixed_segments[{i}] must be [start, end, max_level]"))
                 ok = False
                 continue
-            segments.append(RoadSegment(float(row[0]), float(row[1]), int(row[2])))
+            start = _number(row[0], f"fixed_segments[{i}] start", where, issues)
+            end = _number(row[1], f"fixed_segments[{i}] end", where, issues)
+            level = _parse_level(row[2], f"{where} fixed_segments[{i}]", issues)
+            if start is None or end is None or level is None:
+                ok = False
+                continue
+            segments.append(RoadSegment(start, end, level))
         if not ok or not segments:
             if ok:
                 issues.append(Violation("error", where, "fixed_segments is empty"))
@@ -164,17 +170,21 @@ def _parse_road(
         return None, None
     proc = raw["process"]
     dwell: dict[int, DwellParams] = {}
+    listed: set[int] = set()  # levels with a dwell entry, reported here if it is rejected
     for key, entry in (proc.get("dwell") or {}).items():
         level = _parse_level(key, f"{where} dwell", issues)
         if level is None or not isinstance(entry, dict):
             continue
+        listed.add(level)
         mean = entry.get("mean")
         if not isinstance(mean, (int, float)) or not 0 < mean < math.inf:
             message = f"dwell mean for level {level} must be > 0 and finite, got {mean!r}"
             issues.append(Violation("error", where, message))
             continue
-        minimum = float(entry.get("min", 0.0))
-        maximum = float(entry.get("max", math.inf))
+        minimum = _number(entry.get("min", 0.0), f"dwell min for level {level}", where, issues)
+        maximum = _number(entry.get("max", math.inf), f"dwell max for level {level}", where, issues)
+        if minimum is None or maximum is None:
+            continue
         if not 0 <= minimum <= maximum:
             issues.append(Violation("error", where, f"dwell bounds for level {level} need 0 <= min <= max"))
             continue
@@ -202,19 +212,27 @@ def _parse_road(
     initial_level = _parse_level(initial, f"{where} process", issues)
     if initial_level is None:
         return None, None
-    if initial_level not in dwell:
+    if initial_level not in listed:
         issues.append(Violation("error", where, f"initial level {initial_level} has no dwell parameters"))
     reachable = {t for row in transitions.values() for t in row}
-    for level in reachable:
-        if level not in dwell:
-            issues.append(Violation("error", where, f"reachable level {level} has no dwell parameters"))
+    for level in reachable - listed:
+        issues.append(Violation("error", where, f"reachable level {level} has no dwell parameters"))
     return RoadProcessParams(initial_level=initial_level or 0, dwell=dwell, transitions=transitions), None
+
+
+def _number(value: Any, what: str, where: str, issues: list[Violation]) -> float | None:
+    """``float(value)``, or None after a located error when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        issues.append(Violation("error", where, f"{what} must be a number, got {value!r}"))
+        return None
 
 
 def _parse_level(key: Any, where: str, issues: list[Violation]) -> int | None:
     try:
         level = int(key)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         issues.append(Violation("error", where, f"automation level expected, got {key!r}"))
         return None
     if not 0 <= level <= MAX_LEVEL:
@@ -232,7 +250,9 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         issues.append(Violation("error", where, "speed must be a mapping"))
         return fallback
     if "constant" in raw:
-        constant = float(raw["constant"])
+        constant = _number(raw["constant"], "speed constant", where, issues)
+        if constant is None:
+            return fallback
         if math.isfinite(constant):
             return SpeedScript(kind="constant", constant=constant)
         issues.append(Violation("error", where, f"speed constant must be finite, got {constant}"))
@@ -243,7 +263,11 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
             if not (isinstance(row, (list, tuple)) and len(row) == 2):
                 issues.append(Violation("error", where, f"steps[{i}] must be [time, value]"))
                 continue
-            steps.append((float(row[0]), float(row[1])))
+            time = _number(row[0], f"steps[{i}] time", where, issues)
+            value = _number(row[1], f"steps[{i}] value", where, issues)
+            if time is None or value is None:
+                return fallback
+            steps.append((time, value))
         if not steps or steps[0][0] != 0.0:
             issues.append(Violation("error", where, "speed steps must start at time 0"))
             return fallback
@@ -257,7 +281,11 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
     if "cycle" in raw:
         cyc = raw["cycle"] or {}
         period = cyc.get("period")
-        values = tuple(float(v) for v in cyc.get("values") or ())
+        values = tuple(
+            _number(v, f"cycle values[{i}]", where, issues) for i, v in enumerate(cyc.get("values") or ())
+        )
+        if None in values:
+            return fallback
         finite = all(map(math.isfinite, values))
         if not isinstance(period, (int, float)) or not 0 < period < math.inf or not values or not finite:
             message = "cycle needs period > 0 and a non-empty values list, all finite"

@@ -34,12 +34,12 @@ from .metrics import (
     TrialMetrics,
     eyes_off_contribution,
 )
-from .scenario import Scenario
-from .tasks import Configuration, ConfigurationError, Task, Violation, validate
-from .scenario import cross_validate
+from .scenario import Scenario, cross_validate
+from .tasks import Configuration, ConfigurationError, Violation, validate
 from .vehicle import (
     AutomationStateMachine,
     RoadSegment,
+    RoadTimeline,
     TorPayload,
     TransitionEvent,
     TransitionKind,
@@ -67,8 +67,9 @@ def run_trial(
     scenario: Scenario,
     seed: int,
     trial_length: float,
+    trace: bool = True,
 ) -> TrialResult:
-    """Run one fully deterministic trial and return metrics plus trace."""
+    """Run one fully deterministic trial: its metrics, and its trace unless ``trace=False``."""
     problems = [v for v in validate(config) if v.severity == "error"]
     problems += [v for v in cross_validate(scenario, config) if v.severity == "error"]
     if problems:
@@ -77,12 +78,12 @@ def run_trial(
         raise ConfigurationError(
             [Violation("error", "trial", f"trial length must be > 0 and finite, got {trial_length}")]
         )
-    return _Trial(config, scenario, seed, trial_length).run()
+    return _Trial(config, scenario, seed, trial_length, trace).run()
 
 
 class _Trial:
     def __init__(
-        self, config: Configuration, scenario: Scenario, seed: int, trial_length: float
+        self, config: Configuration, scenario: Scenario, seed: int, trial_length: float, trace: bool
     ) -> None:
         self.config = config
         self.scenario = scenario
@@ -117,7 +118,7 @@ class _Trial:
                 self.memory.initialize(name, driver_mod.discretize(self.truth.get(name), param.resolution))
 
         self.attention = AttentionState()
-        self.collector = MetricsCollector(trial_length, self.attention, self.machine)
+        self.collector = MetricsCollector(trial_length, self.attention, self.machine, trace)
         self._update_awareness()
 
         # Everything time-driven is scheduled before the clock starts:
@@ -429,8 +430,6 @@ class _Trial:
 
 def _clip_timeline(timeline, trial_length: float):
     """Fit a fixed timeline to the trial horizon (error if too short)."""
-    from .vehicle import RoadTimeline
-
     if timeline.horizon < trial_length:
         raise ConfigurationError(
             [

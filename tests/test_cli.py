@@ -67,6 +67,15 @@ def test_validate_missing_file_fails(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
+#: The demo scenario's speed script and road process, as written in the file.
+CYCLE = "cycle:\n    period: 120\n    values: [50, 70, 90, 110, 90, 70]"
+ROAD_PROCESS = (
+    "process:\n    initial_level: 2\n    dwell:\n"
+    "      4: {mean: 300, min: 90, max: 900}\n      2: {mean: 180, min: 60, max: 600}\n"
+    "    transitions:\n      4: {2: 1.0}\n      2: {4: 1.0}"
+)
+
+
 @pytest.mark.parametrize(
     ("name", "old", "new", "message"),
     [
@@ -107,7 +116,7 @@ def test_validate_missing_file_fails(tmp_path, capsys):
             "speed: cycle needs period > 0 and a non-empty values list, all finite; got period 120, values [nan,",
         ),
         (
-            "demo_scenario.yaml", "cycle:\n    period: 120\n    values: [50, 70, 90, 110, 90, 70]", "constant: .nan",
+            "demo_scenario.yaml", CYCLE, "constant: .nan",
             "speed: speed constant must be finite, got nan",
         ),
         (
@@ -117,6 +126,42 @@ def test_validate_missing_file_fails(tmp_path, capsys):
         (
             "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {resolution: .inf}",
             "awareness: 'speed' resolution must be > 0 and finite, got inf",
+        ),
+        (
+            "demo_scenario.yaml", "values: [50, 70,", "values: [fast, 70,",
+            "speed: cycle values[0] must be a number, got 'fast'",
+        ),
+        (
+            "demo_scenario.yaml", CYCLE, "constant: fast",
+            "speed: speed constant must be a number, got 'fast'",
+        ),
+        (
+            "demo_scenario.yaml", CYCLE, "steps:\n    - [0, 50]\n    - [soon, 70]",
+            "speed: steps[1] time must be a number, got 'soon'",
+        ),
+        (
+            "demo_scenario.yaml", CYCLE, "steps:\n    - [0, 50]\n    - [60, fast]",
+            "speed: steps[1] value must be a number, got 'fast'",
+        ),
+        (
+            "demo_scenario.yaml", "mean: 300, min: 90", "mean: 300, min: abc",
+            "road: dwell min for level 4 must be a number, got 'abc'",
+        ),
+        (
+            "demo_scenario.yaml", "min: 90, max: 900", "min: 90, max: abc",
+            "road: dwell max for level 4 must be a number, got 'abc'",
+        ),
+        (
+            "demo_scenario.yaml", ROAD_PROCESS, "fixed_segments:\n    - [start, 500, 2]",
+            "road: fixed_segments[0] start must be a number, got 'start'",
+        ),
+        (
+            "demo_scenario.yaml", ROAD_PROCESS, "fixed_segments:\n    - [0, end, 2]",
+            "road: fixed_segments[0] end must be a number, got 'end'",
+        ),
+        (
+            "demo_scenario.yaml", ROAD_PROCESS, "fixed_segments:\n    - [0, 500, high]",
+            "road fixed_segments[0]: automation level expected, got 'high'",
         ),
     ],
 )
@@ -147,6 +192,32 @@ def test_rejected_element_is_reported_once(tmp_path, capsys):
     assert code == 1
     assert len(errors) == 1
     assert errors[0].endswith("elements[0]: gaze_time must be a number >= 0 and finite, got nan")
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        (
+            "mean: 300, min: 90", "mean: .nan, min: 90",
+            "road: dwell mean for level 4 must be > 0 and finite, got nan",
+        ),
+        (
+            "mean: 180, min: 60", "mean: 180, min: abc",
+            "road: dwell min for level 2 must be a number, got 'abc'",
+        ),
+    ],
+)
+def test_rejected_dwell_is_reported_once(tmp_path, capsys, old, new, message):
+    # Level 4 is reachable; level 2 is the initial level and reachable too.
+    scenario = tmp_path / "scenario.yaml"
+    text = (PKG_DATA / "demo_scenario.yaml").read_text()
+    assert text.count(old) == 1
+    scenario.write_text(text.replace(old, new))
+    code = main(["validate", *DEMO, "--scenario", str(scenario)])
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error:")]
+    assert code == 1
+    assert len(errors) == 1
+    assert errors[0].endswith(message)
 
 
 # ---------------------------------------------------------------------------

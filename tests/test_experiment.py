@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hmisim import experiment, metrics
 from hmisim.experiment import (
     Comparison,
     ExperimentPlan,
@@ -27,6 +28,7 @@ from hmisim.experiment import (
     objective_point,
     replay_moves,
     run_many,
+    run_metrics,
 )
 from hmisim.tasks import ConfigurationError
 from hmisim.workload import AttentionalChannel
@@ -82,6 +84,56 @@ def test_compare_pairs_seeds_one_to_one(demo_config, optimized_config, demo_scen
         diff = comparison.paired_diffs[i]
         assert diff[0] == b.eyes_off_fraction - a.eyes_off_fraction
         assert diff[3] == b.sa_average - a.sa_average
+
+
+def test_run_metrics_builds_no_trace(monkeypatch, demo_config, demo_scenario):
+    def no_records(*args, **kwargs):
+        raise AssertionError("a metrics-only trial built a trace record")
+
+    monkeypatch.setattr(metrics, "TraceRecord", no_records)
+    assert run_metrics(demo_config, demo_scenario, 1, 1500.0).seed == 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the worker pools that experiment functions start."""
+    started = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_compare_starts_one_pool(pools, demo_config, optimized_config, demo_scenario):
+    args = (demo_config, optimized_config, demo_scenario, [1, 2, 3], 1500.0)
+    sequential = compare(*args, jobs=1)
+    assert pools == []
+    assert compare(*args, jobs=2) == sequential
+    assert pools == [2]
+
+
+def test_local_search_starts_one_pool(pools, demo_config, demo_scenario):
+    args = (demo_config, demo_scenario, [1, 2], 1500.0)
+    knobs = {"sa_floor": 0.0, "budget": 3}
+    sequential = local_search(*args, **knobs, jobs=1)
+    assert pools == []
+    assert sequential.evaluations == 3
+    parallel = local_search(*args, **knobs, jobs=2)
+    assert pools == [2]
+    assert parallel == sequential  # log, config, objectives and metrics
+
+
+def test_no_pool_for_one_job_one_seed_or_no_budget(pools, demo_config, demo_scenario):
+    run_many(demo_config, demo_scenario, [1, 2], 500.0, jobs=1)
+    run_many(demo_config, demo_scenario, [1], 500.0, jobs=2)
+    compare(demo_config, demo_config, demo_scenario, [1], 500.0, jobs=2)
+    local_search(demo_config, demo_scenario, [1, 2], 500.0, sa_floor=0.0, budget=0, jobs=2)
+    local_search(demo_config, demo_scenario, [1], 500.0, sa_floor=0.0, budget=1, jobs=2)
+    assert pools == []
 
 
 # ---------------------------------------------------------------------------

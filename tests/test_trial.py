@@ -126,6 +126,22 @@ def test_same_seed_reproduces_trace_and_metrics(demo_config, demo_scenario):
     assert a.metrics == b.metrics
 
 
+@pytest.mark.parametrize(
+    ("inputs", "seed", "length"),
+    [("demo", 1, 12_000.0), ("demo", 2, 12_000.0), ("demo", 3, 12_000.0), ("scripted", 123, 100.0)],
+)
+def test_untraced_trial_has_the_traced_metrics(request, inputs, seed, length):
+    config = request.getfixturevalue(f"{inputs}_config")
+    scenario = request.getfixturevalue(f"{inputs}_scenario")
+    traced = run_trial(config, scenario, seed, length)
+    untraced = run_trial(config, scenario, seed, length, trace=False)
+    assert traced.records
+    assert untraced.records == []
+    assert untraced.metrics == traced.metrics
+    # repr tells apart every float bit pattern that == lets through (-0.0).
+    assert repr(untraced.metrics) == repr(traced.metrics)
+
+
 def test_different_seeds_differ(demo_config, demo_scenario):
     a = run_trial(demo_config, demo_scenario, seed=11, trial_length=2000.0)
     b = run_trial(demo_config, demo_scenario, seed=12, trial_length=2000.0)
