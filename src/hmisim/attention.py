@@ -93,15 +93,14 @@ class AttentionState:
     """
 
     def __init__(self) -> None:
-        self._active: dict[int, TaskInstance] = {}
-        self._by_channel: dict[AttentionalChannel, TaskInstance] = {}
+        self._by_channel: dict[AttentionalChannel, TaskInstance] = {}  # the active instance on each channel
         self._queue: list[TaskInstance] = []
         self._recompute()
 
     # -- load arithmetic ----------------------------------------------------
 
     def _recompute(self) -> None:
-        active = self._active.values()
+        active = self._by_channel.values()
         self.cognitive_sum = math.fsum(i.task.cognitive_workload for i in active)
         self.perceptual_sum = math.fsum(i.task.perceptual_workload for i in active)
         if not self._queue:
@@ -122,7 +121,7 @@ class AttentionState:
         return len(self._queue)
 
     def active_instances(self) -> list[TaskInstance]:
-        return sorted(self._active.values(), key=lambda i: i.uid)
+        return sorted(self._by_channel.values(), key=lambda i: i.uid)
 
     def queued_instances(self) -> list[TaskInstance]:
         return sorted(self._queue, key=self._queue_key)
@@ -169,15 +168,9 @@ class AttentionState:
         Returns the admitted instances in admission (priority) order.
         ``admit=False`` skips the queue scan (used when a trial is torn down).
         """
-        if instance.uid not in self._active:
+        if self._by_channel.get(instance.task.perception_type) is not instance:
             raise InconsistentStateError(
                 f"release of instance {instance.uid} ({instance.task.name}) which is not active"
-            )
-        del self._active[instance.uid]
-        holder = self._by_channel.get(instance.task.perception_type)
-        if holder is not instance:
-            raise InconsistentStateError(
-                f"channel {instance.task.perception_type.value} not held by instance {instance.uid}"
             )
         del self._by_channel[instance.task.perception_type]
         self._recompute()
@@ -197,7 +190,6 @@ class AttentionState:
                 f"channel {instance.task.perception_type.value} already occupied"
             )
         instance.started_at = now
-        self._active[instance.uid] = instance
         self._by_channel[instance.task.perception_type] = instance
         self._recompute()
 

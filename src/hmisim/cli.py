@@ -44,7 +44,7 @@ from .metrics import (
     write_trace,
 )
 from .scenario import cross_validate, load_scenario
-from .tasks import Configuration, ConfigurationError, Violation, load_configuration, write_tasks_csv
+from .tasks import Configuration, ConfigurationError, Violation, load_configuration, read_input, write_tasks_csv
 from .trial import run_trial
 
 
@@ -308,13 +308,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _read_seeds_file(path: str) -> list[int]:
+    issues: list[Violation] = []
+    text = read_input(Path(path), "seeds", issues)
+    if text is None:
+        raise ConfigurationError(issues)
     seeds: list[int] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigurationError(
-            [Violation("error", path, "seeds file not found")]
-        ) from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

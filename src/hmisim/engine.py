@@ -64,12 +64,11 @@ class EventCalendar:
         self.clock: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._next_sequence = 0
-        self._pending = 0
         self.max_pending = 0
 
     @property
     def pending(self) -> int:
-        return self._pending
+        return len(self._heap)
 
     def schedule(self, time: float, kind: EventKind, payload: Any = None) -> SimEvent:
         """Add an event at ``time`` (>= clock, finite) and return its handle."""
@@ -82,9 +81,8 @@ class EventCalendar:
         event = SimEvent(time=float(time), sequence=self._next_sequence, kind=kind, payload=payload)
         self._next_sequence += 1
         heapq.heappush(self._heap, (event.time, event.sequence, event))
-        self._pending += 1
-        if self._pending > self.max_pending:
-            self.max_pending = self._pending
+        if len(self._heap) > self.max_pending:
+            self.max_pending = len(self._heap)
         return event
 
     def run_until(self, t_end: float, dispatcher: Callable[[SimEvent], None]) -> None:
@@ -99,7 +97,6 @@ class EventCalendar:
         while self._heap and self._heap[0][0] <= t_end:
             _, _, event = heapq.heappop(self._heap)
             self.clock = event.time
-            self._pending -= 1
             try:
                 dispatcher(event)
             except SimulationError:

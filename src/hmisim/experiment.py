@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
-import yaml
-
 from .metrics import AggregateSummary, TrialMetrics, aggregate, median_low
 from .scenario import Scenario, load_scenario
 from .tasks import (
@@ -39,8 +37,11 @@ from .tasks import (
     ConfigurationError,
     Task,
     Violation,
+    as_list,
+    as_mapping,
     copy_configuration,
     load_configuration,
+    read_yaml,
     validate,
 )
 from .trial import run_trial
@@ -595,14 +596,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     path = Path(path)
     where = str(path)
     issues: list[Violation] = []
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise PlanError([Violation("error", where, "plan file not found")]) from None
-    except yaml.YAMLError as exc:
-        raise PlanError([Violation("error", where, f"YAML parse failure: {exc}")]) from None
-    if not isinstance(raw, dict):
-        raise PlanError([Violation("error", where, "plan must be a mapping")])
+    raw = read_yaml(path, "plan", issues)
+    if raw is None:
+        raise PlanError(issues)
 
     base = path.parent
 
@@ -612,7 +608,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 
     configurations: list[NamedConfiguration] = []
     names_seen: set[str] = set()
-    for i, entry in enumerate(raw.get("configurations") or []):
+    for i, entry in enumerate(as_list(raw.get("configurations"), "configurations", where, issues)):
         spot = f"{where} configurations[{i}]"
         if not isinstance(entry, dict) or not {"name", "tasks", "elements"} <= set(entry):
             issues.append(Violation("error", spot, "needs name, tasks and elements"))
@@ -631,7 +627,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
                 scale=resolve(str(scale)) if scale else None,
             )
         )
-    if not configurations:
+    if not configurations and not issues:
         issues.append(Violation("error", where, "plan needs at least one configuration"))
 
     if "scenario" not in raw:
@@ -686,20 +682,16 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         issues.append(Violation("error", where, "budget must be an integer >= 0"))
         budget = None
 
-    weights = ObjectiveWeights()
-    raw_weights = raw.get("weights")
-    if raw_weights is not None:
-        if not isinstance(raw_weights, dict):
-            issues.append(Violation("error", where, "weights must be a mapping"))
-        else:
-            try:
-                weights = ObjectiveWeights(
-                    cognitive=float(raw_weights.get("cognitive", 1.0)),
-                    perceptual=float(raw_weights.get("perceptual", 1.0)),
-                    eyes_off=float(raw_weights.get("eyes_off", 1.0)),
-                )
-            except (TypeError, ValueError) as exc:
-                issues.append(Violation("error", where, f"bad weights: {exc}"))
+    raw_weights = as_mapping(raw.get("weights"), "weights", where, issues)
+    try:
+        weights = ObjectiveWeights(
+            cognitive=float(raw_weights.get("cognitive", 1.0)),
+            perceptual=float(raw_weights.get("perceptual", 1.0)),
+            eyes_off=float(raw_weights.get("eyes_off", 1.0)),
+        )
+    except (TypeError, ValueError) as exc:
+        issues.append(Violation("error", where, f"bad weights: {exc}"))
+        weights = ObjectiveWeights()
 
     jobs = raw.get("jobs", 1)
     if not isinstance(jobs, int) or jobs < 1:

@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_sigma
-from .tasks import Configuration, ConfigurationError, Initiator, Violation
+from .tasks import Configuration, ConfigurationError, Initiator, Violation, as_list, as_mapping, read_yaml
 from .vehicle import (
     GROUND_TRUTH_PARAMETERS,
     MAX_LEVEL,
@@ -100,14 +98,9 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     where = str(path)
     issues: list[Violation] = []
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ScenarioError([Violation("error", where, "scenario file not found")]) from None
-    except yaml.YAMLError as exc:
-        raise ScenarioError([Violation("error", where, f"YAML parse failure: {exc}")]) from None
-    if not isinstance(raw, dict):
-        raise ScenarioError([Violation("error", where, "scenario must be a mapping")])
+    raw = read_yaml(path, "scenario", issues)
+    if raw is None:
+        raise ScenarioError(issues)
 
     name = str(raw.get("name", path.stem))
     road_process, fixed_timeline = _parse_road(raw.get("road"), where, issues)
@@ -140,24 +133,22 @@ def _parse_road(
     if not isinstance(raw, dict):
         issues.append(Violation("error", where, "scenario needs a 'road' section"))
         return None, None
+    reported = len(issues)  # past this, a rejected section ends the road without follow-on errors
     if "fixed_segments" in raw:
         segments: list[RoadSegment] = []
-        ok = True
-        for i, row in enumerate(raw["fixed_segments"] or []):
+        for i, row in enumerate(as_list(raw["fixed_segments"], "fixed_segments", where, issues)):
             if not (isinstance(row, (list, tuple)) and len(row) == 3):
                 issues.append(Violation("error", where, f"fixed_segments[{i}] must be [start, end, max_level]"))
-                ok = False
                 continue
             start = _number(row[0], f"fixed_segments[{i}] start", where, issues)
             end = _number(row[1], f"fixed_segments[{i}] end", where, issues)
             level = _parse_level(row[2], f"{where} fixed_segments[{i}]", issues)
-            if start is None or end is None or level is None:
-                ok = False
-                continue
-            segments.append(RoadSegment(start, end, level))
-        if not ok or not segments:
-            if ok:
-                issues.append(Violation("error", where, "fixed_segments is empty"))
+            if start is not None and end is not None and level is not None:
+                segments.append(RoadSegment(start, end, level))
+        if len(issues) > reported:
+            return None, None
+        if not segments:
+            issues.append(Violation("error", where, "fixed_segments is empty"))
             return None, None
         try:
             timeline = RoadTimeline(segments=tuple(segments), horizon=segments[-1].end)
@@ -168,14 +159,14 @@ def _parse_road(
     if "process" not in raw:
         issues.append(Violation("error", where, "road needs 'process' or 'fixed_segments'"))
         return None, None
-    proc = raw["process"]
+    proc = as_mapping(raw["process"], "process", where, issues)
+    if len(issues) > reported:
+        return None, None
     dwell: dict[int, DwellParams] = {}
-    listed: set[int] = set()  # levels with a dwell entry, reported here if it is rejected
-    for key, entry in (proc.get("dwell") or {}).items():
+    for key, entry in as_mapping(proc.get("dwell"), "dwell", where, issues).items():
         level = _parse_level(key, f"{where} dwell", issues)
         if level is None or not isinstance(entry, dict):
             continue
-        listed.add(level)
         mean = entry.get("mean")
         if not isinstance(mean, (int, float)) or not 0 < mean < math.inf:
             message = f"dwell mean for level {level} must be > 0 and finite, got {mean!r}"
@@ -189,13 +180,15 @@ def _parse_road(
             issues.append(Violation("error", where, f"dwell bounds for level {level} need 0 <= min <= max"))
             continue
         dwell[level] = DwellParams(mean=float(mean), minimum=minimum, maximum=maximum)
+    # A rejected dwell section or entry is reported once, not again as a level without dwell.
+    check_dwell = len(issues) == reported
     transitions: dict[int, dict[int, float]] = {}
-    for key, row in (proc.get("transitions") or {}).items():
+    for key, row in as_mapping(proc.get("transitions"), "transitions", where, issues).items():
         level = _parse_level(key, f"{where} transitions", issues)
         if level is None:
             continue
         out: dict[int, float] = {}
-        for target_key, weight in (row or {}).items():
+        for target_key, weight in as_mapping(row, f"transitions[{level}]", where, issues).items():
             target = _parse_level(target_key, f"{where} transitions[{level}]", issues)
             if target is None:
                 continue
@@ -208,16 +201,16 @@ def _parse_road(
                 continue
             out[target] = float(weight)
         transitions[level] = out
-    initial = proc.get("initial_level")
-    initial_level = _parse_level(initial, f"{where} process", issues)
+    initial_level = _parse_level(proc.get("initial_level"), f"{where} process", issues)
     if initial_level is None:
         return None, None
-    if initial_level not in listed:
-        issues.append(Violation("error", where, f"initial level {initial_level} has no dwell parameters"))
-    reachable = {t for row in transitions.values() for t in row}
-    for level in reachable - listed:
-        issues.append(Violation("error", where, f"reachable level {level} has no dwell parameters"))
-    return RoadProcessParams(initial_level=initial_level or 0, dwell=dwell, transitions=transitions), None
+    if check_dwell:
+        if initial_level not in dwell:
+            issues.append(Violation("error", where, f"initial level {initial_level} has no dwell parameters"))
+        reachable = {t for row in transitions.values() for t in row}
+        for level in sorted(reachable - dwell.keys()):
+            issues.append(Violation("error", where, f"reachable level {level} has no dwell parameters"))
+    return RoadProcessParams(initial_level=initial_level, dwell=dwell, transitions=transitions), None
 
 
 def _number(value: Any, what: str, where: str, issues: list[Violation]) -> float | None:
@@ -246,28 +239,27 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
     fallback = SpeedScript(kind="constant", constant=0.0)
     if raw is None:
         return fallback
-    if not isinstance(raw, dict):
-        issues.append(Violation("error", where, "speed must be a mapping"))
+    reported = len(issues)  # past this, a rejected section ends the speed without follow-on errors
+    raw = as_mapping(raw, "speed", where, issues)
+    if len(issues) > reported:
         return fallback
     if "constant" in raw:
         constant = _number(raw["constant"], "speed constant", where, issues)
-        if constant is None:
-            return fallback
-        if math.isfinite(constant):
-            return SpeedScript(kind="constant", constant=constant)
-        issues.append(Violation("error", where, f"speed constant must be finite, got {constant}"))
-        return fallback
+        if constant is not None and not math.isfinite(constant):
+            issues.append(Violation("error", where, f"speed constant must be finite, got {constant}"))
+        return fallback if len(issues) > reported else SpeedScript(kind="constant", constant=constant)
     if "steps" in raw:
         steps: list[tuple[float, float]] = []
-        for i, row in enumerate(raw["steps"] or []):
+        for i, row in enumerate(as_list(raw["steps"], "steps", where, issues)):
             if not (isinstance(row, (list, tuple)) and len(row) == 2):
                 issues.append(Violation("error", where, f"steps[{i}] must be [time, value]"))
                 continue
             time = _number(row[0], f"steps[{i}] time", where, issues)
             value = _number(row[1], f"steps[{i}] value", where, issues)
-            if time is None or value is None:
-                return fallback
-            steps.append((time, value))
+            if time is not None and value is not None:
+                steps.append((time, value))
+        if len(issues) > reported:
+            return fallback
         if not steps or steps[0][0] != 0.0:
             issues.append(Violation("error", where, "speed steps must start at time 0"))
             return fallback
@@ -279,13 +271,14 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
             return fallback
         return SpeedScript(kind="steps", steps=tuple(steps))
     if "cycle" in raw:
-        cyc = raw["cycle"] or {}
-        period = cyc.get("period")
+        cycle = as_mapping(raw["cycle"], "cycle", where, issues)
         values = tuple(
-            _number(v, f"cycle values[{i}]", where, issues) for i, v in enumerate(cyc.get("values") or ())
+            _number(v, f"cycle values[{i}]", where, issues)
+            for i, v in enumerate(as_list(cycle.get("values"), "cycle values", where, issues))
         )
-        if None in values:
+        if len(issues) > reported:
             return fallback
+        period = cycle.get("period")
         finite = all(map(math.isfinite, values))
         if not isinstance(period, (int, float)) or not 0 < period < math.inf or not values or not finite:
             message = "cycle needs period > 0 and a non-empty values list, all finite"
@@ -299,7 +292,7 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
 def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[CognitiveFunction]:
     functions: list[CognitiveFunction] = []
     seen: set[str] = set()
-    for i, entry in enumerate(raw or []):
+    for i, entry in enumerate(as_list(raw, "cognitive_functions", where, issues)):
         spot = f"{where} cognitive_functions[{i}]"
         if not isinstance(entry, dict) or "name" not in entry or "task" not in entry:
             issues.append(Violation("error", spot, "needs at least 'name' and 'task'"))
@@ -317,15 +310,10 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
         if not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma < 0:
             issues.append(Violation("error", spot, f"sigma must be >= 0 and finite, got {sigma!r}"))
             continue
-        if "levels" in entry and entry["levels"] is not None:
-            levels = set()
-            for lv in entry["levels"]:
-                parsed = _parse_level(lv, spot, issues)
-                if parsed is not None:
-                    levels.add(parsed)
-            enabled = frozenset(levels)
-        else:
-            enabled = ALL_LEVELS
+        enabled = ALL_LEVELS
+        if entry.get("levels") is not None:
+            levels = (_parse_level(lv, spot, issues) for lv in as_list(entry["levels"], "levels", spot, issues))
+            enabled = frozenset(lv for lv in levels if lv is not None)
         functions.append(
             CognitiveFunction(
                 name=name,
@@ -341,11 +329,7 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
 def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindings:
     where = f"{where} bindings"
     bindings = EventBindings()
-    if raw is None:
-        return bindings
-    if not isinstance(raw, dict):
-        issues.append(Violation("error", where, "bindings must be a mapping"))
-        return bindings
+    raw = as_mapping(raw, "bindings", where, issues)
 
     def names(value: Any, spot: str) -> list[str]:
         if value is None:
@@ -357,18 +341,18 @@ def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindi
 
     bindings.tor_early = names(raw.get("tor60"), f"{where} tor60")
     bindings.tor_final = names(raw.get("tor10"), f"{where} tor10")
-    for key, value in (raw.get("level_change") or {}).items():
+    for key, value in as_mapping(raw.get("level_change"), "level_change", where, issues).items():
         if key == "any":
             bindings.level_change["any"] = names(value, f"{where} level_change.any")
             continue
         level = _parse_level(key, f"{where} level_change", issues)
         if level is not None:
             bindings.level_change[level] = names(value, f"{where} level_change[{level}]")
-    for attr, section in (("availability_rise", "availability_rise"), ("availability_drop", "availability_drop")):
-        for key, value in (raw.get(section) or {}).items():
+    for section in ("availability_rise", "availability_drop"):
+        for key, value in as_mapping(raw.get(section), section, where, issues).items():
             level = _parse_level(key, f"{where} {section}", issues)
             if level is not None:
-                getattr(bindings, attr)[level] = names(value, f"{where} {section}[{level}]")
+                getattr(bindings, section)[level] = names(value, f"{where} {section}[{level}]")
     known = {"tor60", "tor10", "level_change", "availability_rise", "availability_drop"}
     for key in raw:
         if key not in known:
@@ -379,7 +363,7 @@ def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindi
 def _parse_controls(raw: Any, where: str, issues: list[Violation]) -> dict[str, ControlBinding]:
     where = f"{where} controls"
     controls: dict[str, ControlBinding] = {}
-    for task_name, entry in (raw or {}).items():
+    for task_name, entry in as_mapping(raw, "controls", where, issues).items():
         if not isinstance(entry, dict) or entry.get("action") not in ("switch_up", "switch_down"):
             issues.append(
                 Violation("error", where, f"{task_name!r} needs action switch_up or switch_down")
@@ -398,7 +382,7 @@ def _parse_controls(raw: Any, where: str, issues: list[Violation]) -> dict[str, 
 def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str, AwarenessParameter]:
     where = f"{where} awareness"
     parameters: dict[str, AwarenessParameter] = {}
-    for name, entry in (raw or {}).items():
+    for name, entry in as_mapping(raw, "awareness", where, issues).items():
         name = str(name)
         if name not in GROUND_TRUTH_PARAMETERS:
             issues.append(
@@ -409,16 +393,20 @@ def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str,
                 )
             )
             continue
-        entry = entry or {}
+        entry = as_mapping(entry, repr(name), where, issues)
         resolution = entry.get("resolution")
         if resolution is not None and (not isinstance(resolution, (int, float)) or not 0 < resolution < math.inf):
             message = f"{name!r} resolution must be > 0 and finite, got {resolution!r}"
             issues.append(Violation("error", where, message))
             continue
+        initial = entry.get("initial")
+        if isinstance(initial, float) and not math.isfinite(initial):
+            issues.append(Violation("error", where, f"{name!r} initial must be finite, got {initial!r}"))
+            continue
         parameters[name] = AwarenessParameter(
             name=name,
             resolution=float(resolution) if resolution is not None else None,
-            initial=entry.get("initial"),
+            initial=initial,
         )
     return parameters
 
@@ -426,11 +414,7 @@ def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str,
 def _parse_vehicle(raw: Any, where: str, issues: list[Violation]) -> VehicleSettings:
     where = f"{where} vehicle"
     settings = VehicleSettings()
-    if raw is None:
-        return settings
-    if not isinstance(raw, dict):
-        issues.append(Violation("error", where, "vehicle must be a mapping"))
-        return settings
+    raw = as_mapping(raw, "vehicle", where, issues)
     level = _parse_level(raw.get("initial_level", 0), where, issues)
     if level is not None:
         settings.initial_level = level

@@ -20,11 +20,12 @@ just the first.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Any
 
 import yaml
 
@@ -114,12 +115,18 @@ class Violation:
 
 
 class ConfigurationError(Exception):
-    """Configuration input failed validation; carries every violation."""
+    """Configuration input failed validation; carries every violation.
+
+    The violations are the only argument, so the error survives pickling from a pool worker.
+    """
 
     def __init__(self, violations: list[Violation]) -> None:
+        super().__init__(violations)
         self.violations = violations
-        lines = "\n".join(f"  {v}" for v in violations)
-        super().__init__(f"{len(violations)} configuration problem(s):\n{lines}")
+
+    def __str__(self) -> str:
+        lines = "\n".join(f"  {v}" for v in self.violations)
+        return f"{len(self.violations)} configuration problem(s):\n{lines}"
 
 
 @dataclass
@@ -131,6 +138,57 @@ class Configuration:
 
     def task_map(self) -> dict[str, Task]:
         return {t.name: t for t in self.tasks}
+
+
+# ---------------------------------------------------------------------------
+# reading input files
+
+def read_input(path: Path, kind: str, issues: list[Violation]) -> str | None:
+    """The UTF-8 text of a ``kind`` input file, or None after one located error."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        message = f"{kind} file not found"
+    except OSError as exc:
+        message = f"{kind} file cannot be read: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        message = f"{kind} file is not UTF-8: {exc}"
+    issues.append(Violation("error", str(path), message))
+    return None
+
+
+def read_yaml(path: Path, kind: str, issues: list[Violation]) -> dict | None:
+    """The top-level mapping of a YAML input file (``{}`` if empty), or None after one located error."""
+    text = read_input(path, kind, issues)
+    if text is None:
+        return None
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        issues.append(Violation("error", str(path), f"YAML parse failure: {exc}"))
+        return None
+    if raw is None or isinstance(raw, dict):
+        return raw or {}
+    issues.append(Violation("error", str(path), f"{kind} must be a mapping, got {raw!r}"))
+    return None
+
+
+def as_mapping(value: Any, what: str, where: str, issues: list[Violation]) -> dict:
+    """A YAML section as a mapping: ``{}`` if absent, or after one located error if not a mapping."""
+    return _shaped(value, dict, "a mapping", what, where, issues)
+
+
+def as_list(value: Any, what: str, where: str, issues: list[Violation]) -> list:
+    """A YAML section as a list: ``[]`` if absent, or after one located error if not a list."""
+    return _shaped(value, list, "a list", what, where, issues)
+
+
+def _shaped(value: Any, shape: type, noun: str, what: str, where: str, issues: list[Violation]) -> Any:
+    if isinstance(value, shape):
+        return value
+    if value is not None:
+        issues.append(Violation("error", where, f"{what} must be {noun}, got {value!r}"))
+    return shape()
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +231,21 @@ def load_elements(path: str | Path) -> dict[str, InterfaceElement]:
     return elements
 
 
-def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, InterfaceElement]:
+def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, InterfaceElement] | None:
+    """The element catalog, or None after an error that leaves no catalog at all."""
     where = str(path)
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        issues.append(Violation("error", where, "element file not found"))
-        return {}
-    except yaml.YAMLError as exc:
-        issues.append(Violation("error", where, f"YAML parse failure: {exc}"))
-        return {}
-    if not isinstance(raw, dict) or "elements" not in raw:
+    raw = read_yaml(path, "element", issues)
+    if raw is None:
+        return None
+    if "elements" not in raw:
         issues.append(Violation("error", where, "expected a top-level 'elements' list"))
-        return {}
+        return None
+    reported = len(issues)
+    entries = as_list(raw["elements"], "elements", where, issues)
+    if len(issues) > reported:
+        return None
     elements: dict[str, InterfaceElement] = {}
-    for i, entry in enumerate(raw["elements"] or []):
+    for i, entry in enumerate(entries):
         spot = f"{where} elements[{i}]"
         if not isinstance(entry, dict) or "name" not in entry:
             issues.append(Violation("error", spot, "each element needs at least a 'name'"))
@@ -223,19 +281,14 @@ def load_scale(path: str | Path | None) -> WorkloadScale:
 
 def _load_scale_collect(path: Path, issues: list[Violation]) -> WorkloadScale:
     where = str(path)
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        issues.append(Violation("error", where, "scale file not found"))
+    raw = read_yaml(path, "scale", issues)
+    if raw is None:
         return WorkloadScale()
-    except yaml.YAMLError as exc:
-        issues.append(Violation("error", where, f"YAML parse failure: {exc}"))
-        return WorkloadScale()
-    if not isinstance(raw, dict) or "scale" not in raw:
+    if "scale" not in raw:
         issues.append(Violation("error", where, "expected a top-level 'scale' mapping"))
         return WorkloadScale()
     overrides: dict[tuple[ScaleCategory, str], float] = {}
-    for cat_name, table in (raw["scale"] or {}).items():
+    for cat_name, table in as_mapping(raw["scale"], "scale", where, issues).items():
         try:
             category = ScaleCategory(str(cat_name).strip().lower())
         except ValueError:
@@ -420,30 +473,24 @@ def load_configuration(
 
     tasks: list[Task] = []
     task_path = Path(task_file)
-    try:
-        with open(task_path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames
-            if header is None:
-                header = []  # empty file: a valid zero-task catalog
-            else:
-                missing = [c for c in TASK_COLUMNS if c not in header]
-                for column in missing:
-                    errors.append(Violation("error", str(task_path), f"missing column {column!r}"))
-                unknown = [c for c in header if c not in TASK_COLUMNS and c not in DERIVED_COLUMNS]
-                for column in unknown:
-                    warnings.append(
-                        Violation("warning", str(task_path), f"ignoring unknown column {column!r}")
-                    )
-                if not missing:
-                    for line, row in enumerate(reader, start=2):
-                        task = _parse_task_row(
-                            row, f"{task_path} row {line}", elements, scale, errors, warnings
-                        )
-                        if task is not None:
-                            tasks.append(task)
-    except FileNotFoundError:
-        errors.append(Violation("error", str(task_path), "task file not found"))
+    text = read_input(task_path, "task", errors) or ""  # unreadable: reported, zero tasks
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []  # an empty file is a valid zero-task catalog
+    missing = [c for c in TASK_COLUMNS if c not in header] if header else []
+    for column in missing:
+        errors.append(Violation("error", str(task_path), f"missing column {column!r}"))
+    for column in header:
+        if column not in TASK_COLUMNS and column not in DERIVED_COLUMNS:
+            warnings.append(Violation("warning", str(task_path), f"ignoring unknown column {column!r}"))
+    if not missing:
+        for line, row in enumerate(reader, start=2):
+            task = _parse_task_row(row, f"{task_path} row {line}", elements or {}, scale, errors, warnings)
+            if task is not None:
+                tasks.append(task)
+    if elements is None:
+        # The element file is reported already; checking locations against no catalog would
+        # add one follow-on error per task.
+        elements = {t.location: InterfaceElement(t.location, on_road=False) for t in tasks}
 
     config = Configuration(tasks=tasks, elements=elements, scale=scale, warnings=warnings)
     errors.extend(validate(config))

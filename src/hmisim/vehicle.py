@@ -180,15 +180,12 @@ class VehicleState:
 class TransitionKind(str, Enum):
     DRIVER_SWITCH_UP = "driver-switch-up"
     DRIVER_SWITCH_DOWN = "driver-switch-down"
-    AVAILABILITY_DROP = "availability-drop"
-    AVAILABILITY_RISE = "availability-rise"
 
 
 @dataclass(frozen=True)
 class TransitionEvent:
     kind: TransitionKind
-    target: int | None = None  # driver switches: requested level
-    new_max: int | None = None  # availability changes: new cap
+    target: int | None = None  # requested level
 
 
 @dataclass
@@ -258,14 +255,10 @@ class AutomationStateMachine:
                     note=f"switch-up to {target} rejected: max available is {self.current_max}",
                 )
             return self._set_level(target, granted=True)
-        if event.kind is TransitionKind.DRIVER_SWITCH_DOWN:
-            target = event.target if event.target is not None else max(self.state.level - 1, 0)
-            target = min(target, self.state.level)  # switching "down" never raises
-            return self._set_level(target, granted=True)
-        if event.kind in (TransitionKind.AVAILABILITY_DROP, TransitionKind.AVAILABILITY_RISE):
-            assert event.new_max is not None
-            return self._availability_change(event.new_max)
-        raise ValueError(f"unknown transition kind {event.kind}")
+        # DRIVER_SWITCH_DOWN
+        target = event.target if event.target is not None else max(self.state.level - 1, 0)
+        target = min(target, self.state.level)  # switching "down" never raises
+        return self._set_level(target, granted=True)
 
     def _set_level(self, target: int, granted: bool) -> TransitionResult:
         previous = self.state.level
@@ -315,12 +308,7 @@ class AutomationStateMachine:
         return result
 
     def on_boundary(self, segment: RoadSegment, now: float) -> TransitionResult:
-        kind = (
-            TransitionKind.AVAILABILITY_RISE
-            if segment.max_level > self.current_max
-            else TransitionKind.AVAILABILITY_DROP
-        )
-        return self.transition(TransitionEvent(kind=kind, new_max=segment.max_level), now)
+        return self._availability_change(segment.max_level)
 
     def on_tor(self, payload: TorPayload, now: float) -> tuple[bool, list[str]]:
         """Apply a take-over request; emits only if the vehicle is in AD."""

@@ -238,6 +238,21 @@ def test_release_of_inactive_instance_raises():
         state.release(ghost, now=0.0)
 
 
+def test_refused_release_leaves_the_state_unchanged():
+    state = AttentionState()
+    task = make_task("reader")
+    holder = instance(task)
+    state.request(holder, now=0.0)
+    impostor = TaskInstance(task=task, uid=holder.uid, requested_at=0.0)  # same uid, not the holder
+    with pytest.raises(InconsistentStateError):
+        state.release(impostor, now=1.0)
+    assert state.active_instances() == [holder]
+    assert state.cognitive_sum == 3.0
+    assert state.first_failing(task) is AbortReason.CHANNEL
+    assert state.release(holder, now=1.0) == []
+    assert state.active_instances() == []
+
+
 def test_no_preemption_on_higher_priority_arrival():
     state = AttentionState()
     running = instance(make_task("running", priority=1))

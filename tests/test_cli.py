@@ -128,6 +128,14 @@ ROAD_PROCESS = (
             "awareness: 'speed' resolution must be > 0 and finite, got inf",
         ),
         (
+            "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {resolution: 1, initial: .nan}",
+            "awareness: 'speed' initial must be finite, got nan",
+        ),
+        (
+            "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {resolution: 1, initial: .inf}",
+            "awareness: 'speed' initial must be finite, got inf",
+        ),
+        (
             "demo_scenario.yaml", "values: [50, 70,", "values: [fast, 70,",
             "speed: cycle values[0] must be a number, got 'fast'",
         ),
@@ -218,6 +226,97 @@ def test_rejected_dwell_is_reported_once(tmp_path, capsys, old, new, message):
     assert code == 1
     assert len(errors) == 1
     assert errors[0].endswith(message)
+
+
+DWELL = "dwell:\n      4: {mean: 300, min: 90, max: 900}\n      2: {mean: 180, min: 60, max: 600}"
+TRANSITIONS = "transitions:\n      4: {2: 1.0}\n      2: {4: 1.0}"
+FUNCTIONS = "cognitive_functions:\n  - {name: speed_check,"
+AVAILABILITY = "availability_rise:\n    4: [ad_available_msg, ad_available_vocal]"
+CONTROLS = "controls:\n  activate_ad: {action: switch_up, target: 4}\n  take_over: {action: switch_down}"
+AWARENESS = "awareness:\n  speed: {resolution: 1}\n  automation_level: {}\n  ad_available: {}"
+
+
+def one_error(text):
+    """The single error line of a validate or run output (and there must be exactly one)."""
+    errors = [line.strip() for line in text.splitlines() if line.strip().startswith("error:")]
+    assert len(errors) == 1, errors
+    return errors[0]
+
+
+def assert_one_error_from_validate_and_run(inputs, out_dir, capsys, message):
+    assert main(["validate", *inputs]) == 1
+    assert one_error(capsys.readouterr().out).endswith(message)
+    assert main(["run", *inputs, "--length", "100", "--out", str(out_dir)]) == 1
+    assert one_error(capsys.readouterr().err).endswith(message)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        (ROAD_PROCESS, "fixed_segments: 5", "road: fixed_segments must be a list, got 5"),
+        (ROAD_PROCESS, "process: 5", "road: process must be a mapping, got 5"),
+        (DWELL, "dwell: 5", "road: dwell must be a mapping, got 5"),
+        (TRANSITIONS, "transitions: 5", "road: transitions must be a mapping, got 5"),
+        ("4: {2: 1.0}", "4: 5", "road: transitions[4] must be a mapping, got 5"),
+        (CYCLE, "steps: 5", "speed: steps must be a list, got 5"),
+        (CYCLE, "cycle: 5", "speed: cycle must be a mapping, got 5"),
+        ("values: [50, 70, 90, 110, 90, 70]", "values: 5", "speed: cycle values must be a list, got 5"),
+        ("speed:\n  cycle:", "speed: 5\nx:\n  cycle:", "speed: speed must be a mapping, got 5"),
+        (FUNCTIONS, "cognitive_functions: 5\nx:\n  - {name: speed_check,", ": cognitive_functions must be a list, got 5"),
+        ("levels: [0, 1, 2]", "levels: 5", "cognitive_functions[3]: levels must be a list, got 5"),
+        ("level_change:\n    any: [level_change_msg]", "level_change: 5", "bindings: level_change must be a mapping, got 5"),
+        (AVAILABILITY, "availability_rise: 5", "bindings: availability_rise must be a mapping, got 5"),
+        (AVAILABILITY, "availability_drop: 5", "bindings: availability_drop must be a mapping, got 5"),
+        (CONTROLS, "controls: 5", "controls: controls must be a mapping, got 5"),
+        (AWARENESS, "awareness: 5", "awareness: awareness must be a mapping, got 5"),
+        ("speed: {resolution: 1}", "speed: 5", "awareness: 'speed' must be a mapping, got 5"),
+        ("vehicle:\n  initial_level: 2", "vehicle: 5\nx:\n  initial_level: 2", "vehicle: vehicle must be a mapping, got 5"),
+    ],
+)
+def test_wrong_shape_scenario_section_is_one_located_error(tmp_path, capsys, old, new, message):
+    text = (PKG_DATA / "demo_scenario.yaml").read_text()
+    assert text.count(old) == 1
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace(old, new))
+    inputs = [*DEMO, "--scenario", str(scenario)]
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize(
+    ("flag", "body", "message"),
+    [
+        ("--elements", "elements: 5\n", ": elements must be a list, got 5"),
+        ("--elements", "- {name: cluster}\n", ": element must be a mapping, got [{'name': 'cluster'}]"),
+        ("--scale", "scale: 5\n", ": scale must be a mapping, got 5"),
+        ("--scenario", "[road]\n", ": scenario must be a mapping, got ['road']"),
+    ],
+)
+def test_wrong_shape_yaml_file_is_one_located_error(tmp_path, capsys, flag, body, message):
+    path = tmp_path / "input.yaml"
+    path.write_text(body)
+    inputs = [*DEMO, "--scenario", str(PKG_DATA / "demo_scenario.yaml"), flag, str(path)]
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
+
+
+def unreadable(tmp_path, how):
+    """A path that exists but is not a readable UTF-8 file."""
+    path = tmp_path / "unreadable"
+    if how == "directory":
+        path.mkdir()
+        return path, "file cannot be read: Is a directory"
+    path.write_bytes("name: café\n".encode("latin-1"))
+    return path, "file is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 9: invalid continuation byte"
+
+
+@pytest.mark.parametrize("how", ["directory", "latin-1"])
+@pytest.mark.parametrize(
+    ("flag", "kind"),
+    [("--tasks", "task"), ("--elements", "element"), ("--scale", "scale"), ("--scenario", "scenario")],
+)
+def test_unreadable_input_is_one_located_error(tmp_path, capsys, how, flag, kind):
+    path, message = unreadable(tmp_path, how)
+    inputs = [*DEMO, "--scenario", str(PKG_DATA / "demo_scenario.yaml"), flag, str(path)]
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, f"{path}: {kind} {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +482,44 @@ def test_bad_seeds_file(tmp_path, capsys, hud_variant):
     ])
     assert code == 1
     assert "not an integer seed" in capsys.readouterr().err
+
+
+def compare_error(argv, capsys):
+    assert main(["compare", *argv, "--trials", "1", "--length", "100"]) == 1
+    return one_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("how", ["directory", "latin-1"])
+def test_unreadable_plan_or_seeds_file_is_one_located_error(tmp_path, capsys, how):
+    path, message = unreadable(tmp_path, how)
+    out = ["--out", str(tmp_path / "out")]
+    assert compare_error(["--plan", str(path), *out], capsys).endswith(f"{path}: plan {message}")
+    plan = ["--plan", str(PKG_DATA / "demo_plan.yaml"), "--seeds-file", str(path), *out]
+    assert compare_error(plan, capsys).endswith(f"{path}: seeds {message}")
+
+
+def test_wrong_shape_plan_configurations_is_one_located_error(tmp_path, capsys):
+    text = (PKG_DATA / "demo_plan.yaml").read_text().replace(
+        "configurations:", "configurations: 5\nx:"
+    ).replace("demo_", str(PKG_DATA / "demo_"))
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(text)
+    error = compare_error(["--plan", str(plan), "--out", str(tmp_path / "out")], capsys)
+    assert error.endswith(f"{plan}: configurations must be a list, got 5")
+
+
+def test_worker_error_reads_the_same_at_any_jobs(tmp_path, capsys):
+    # The scripted timeline covers 100 s, so each trial fails its validation in the worker.
+    argv = [
+        "compare", *SCRIPTED, "--tasks-b", str(DATA / "scripted_tasks.csv"), *SCRIPTED_SCENARIO,
+        "--trials", "2", "--length", "200", "--out", str(tmp_path),
+    ]
+    stderr = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 1
+        stderr.append(capsys.readouterr().err)
+    assert stderr[0] == stderr[1]
+    assert one_error(stderr[0]).endswith("fixed timeline covers 100.0 s but the trial needs 200.0 s")
 
 
 # ---------------------------------------------------------------------------

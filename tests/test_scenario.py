@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import textwrap
+from importlib import resources
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmisim.cli import main
 from hmisim.driver import ALL_LEVELS
 from hmisim.scenario import (
     ControlBinding,
@@ -299,3 +308,106 @@ def test_machine_initiated_control_task_is_error(tmp_path, demo_config):
     assert any(
         v.severity == "error" and "must be driver-initiated" in v.message for v in issues
     )
+
+
+# ---------------------------------------------------------------------------
+# generated inputs: every malformed section is rejected, never crashes
+
+
+PKG_DATA = Path(str(resources.files("hmisim") / "data"))
+DEMO_SCENARIO = yaml.safe_load((PKG_DATA / "demo_scenario.yaml").read_text())
+
+#: One key path into every section the loader reads; a new key (``fixed_segments``,
+#: ``constant``, ``steps``) switches the section to that form.
+KEY_PATHS = [
+    (),
+    ("name",),
+    ("road",),
+    ("road", "fixed_segments"),
+    ("road", "process"),
+    ("road", "process", "initial_level"),
+    ("road", "process", "dwell"),
+    ("road", "process", "dwell", 4),
+    ("road", "process", "dwell", 4, "mean"),
+    ("road", "process", "dwell", 4, "min"),
+    ("road", "process", "dwell", 4, "max"),
+    ("road", "process", "transitions"),
+    ("road", "process", "transitions", 4),
+    ("road", "process", "transitions", 4, 2),
+    ("speed",),
+    ("speed", "constant"),
+    ("speed", "steps"),
+    ("speed", "cycle"),
+    ("speed", "cycle", "period"),
+    ("speed", "cycle", "values"),
+    ("speed", "cycle", "values", 0),
+    ("cognitive_functions",),
+    ("cognitive_functions", 0),
+    ("cognitive_functions", 0, "name"),
+    ("cognitive_functions", 0, "task"),
+    ("cognitive_functions", 0, "mean"),
+    ("cognitive_functions", 0, "sigma"),
+    ("cognitive_functions", 3, "levels"),
+    ("cognitive_functions", 3, "levels", 0),
+    ("bindings",),
+    ("bindings", "tor60"),
+    ("bindings", "tor10"),
+    ("bindings", "level_change"),
+    ("bindings", "level_change", "any"),
+    ("bindings", "availability_rise"),
+    ("bindings", "availability_rise", 4),
+    ("bindings", "availability_drop"),
+    ("controls",),
+    ("controls", "activate_ad"),
+    ("controls", "activate_ad", "action"),
+    ("controls", "activate_ad", "target"),
+    ("awareness",),
+    ("awareness", "speed"),
+    ("awareness", "speed", "resolution"),
+    ("awareness", "speed", "initial"),
+    ("vehicle",),
+    ("vehicle", "initial_level"),
+    ("vehicle", "tor_lead_seconds"),
+    ("vehicle", "tor_final_seconds"),
+]
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+YAML_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SCALARS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def replaced(document, path, value):
+    """A deep copy of ``document`` with the value at ``path`` replaced (or added)."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return document
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated") / "scenario.yaml"
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(KEY_PATHS), value=YAML_VALUES)
+def test_generated_scenario_is_loaded_or_rejected(scenario_file, path, value):
+    scenario = scenario_file
+    scenario.write_text(yaml.safe_dump(replaced(DEMO_SCENARIO, path, value)))
+    try:
+        load_scenario(scenario)
+    except ScenarioError:
+        pass
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([
+            "validate", "--tasks", str(PKG_DATA / "demo_tasks.csv"),
+            "--elements", str(PKG_DATA / "demo_elements.yaml"), "--scenario", str(scenario),
+        ])
+    assert code in (0, 1)
