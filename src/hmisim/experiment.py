@@ -39,6 +39,7 @@ from .tasks import (
     Violation,
     as_list,
     as_mapping,
+    as_number,
     copy_configuration,
     load_configuration,
     read_yaml,
@@ -48,6 +49,8 @@ from .trial import run_trial
 from .workload import AttentionalChannel, ScaleCategory, perceptual_category
 
 DEFAULT_TRIALS = 20
+#: Most trials per design a plan may ask for: its seed list is built in memory.
+MAX_TRIALS = 100_000
 DEFAULT_TRIAL_LENGTH = 60_000.0  # seconds (1000 simulated minutes)
 
 
@@ -642,8 +645,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if isinstance(raw_seeds, dict):
         first = raw_seeds.get("first", 1)
         count = raw_seeds.get("count")
-        if not isinstance(first, int) or not isinstance(count, int) or count < 1:
-            issues.append(Violation("error", where, "master_seeds shorthand needs integer first and count >= 1"))
+        if not isinstance(first, int) or not isinstance(count, int) or not 1 <= count <= MAX_TRIALS:
+            message = f"master_seeds shorthand needs integer first and count >= 1 and <= {MAX_TRIALS}"
+            issues.append(Violation("error", where, message))
         else:
             seeds = list(range(first, first + count))
     elif isinstance(raw_seeds, list):
@@ -657,8 +661,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 
     if trials is None:
         trials = len(seeds) if seeds else DEFAULT_TRIALS
-    if not isinstance(trials, int) or trials < 1:
-        issues.append(Violation("error", where, "trials_per_config must be an integer >= 1"))
+    if not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
+        issues.append(Violation("error", where, f"trials_per_config must be an integer >= 1 and <= {MAX_TRIALS}"))
         trials = 1
     if not seeds:
         seeds = list(range(1, trials + 1))
@@ -667,15 +671,10 @@ def load_plan(path: str | Path) -> ExperimentPlan:
             Violation("error", where, f"{trials} trials per config but only {len(seeds)} master seeds")
         )
 
-    length = raw.get("trial_length", DEFAULT_TRIAL_LENGTH)
-    if not isinstance(length, (int, float)) or not 0 < length < math.inf:
-        issues.append(Violation("error", where, f"trial_length must be > 0 and finite, got {length!r}"))
-        length = DEFAULT_TRIAL_LENGTH
-
+    length = as_number(raw.get("trial_length", DEFAULT_TRIAL_LENGTH), "trial_length", where, issues, above=0)
     sa_floor = raw.get("sa_floor")
-    if sa_floor is not None and (not isinstance(sa_floor, (int, float)) or not 0 <= sa_floor <= 100):
-        issues.append(Violation("error", where, "sa_floor must be within [0, 100]"))
-        sa_floor = None
+    if sa_floor is not None:
+        sa_floor = as_number(sa_floor, "sa_floor", where, issues, at_least=0, at_most=100)
 
     budget = raw.get("budget")
     if budget is not None and (not isinstance(budget, int) or budget < 0):
@@ -683,15 +682,16 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         budget = None
 
     raw_weights = as_mapping(raw.get("weights"), "weights", where, issues)
-    try:
-        weights = ObjectiveWeights(
-            cognitive=float(raw_weights.get("cognitive", 1.0)),
-            perceptual=float(raw_weights.get("perceptual", 1.0)),
-            eyes_off=float(raw_weights.get("eyes_off", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        issues.append(Violation("error", where, f"bad weights: {exc}"))
-        weights = ObjectiveWeights()
+    parts = {
+        key: as_number(raw_weights.get(key, 1.0), f"{key} weight", where, issues, at_least=0)
+        for key in ("cognitive", "perceptual", "eyes_off")
+    }
+    weights = ObjectiveWeights()
+    if None not in parts.values():
+        try:
+            weights = ObjectiveWeights(**parts)
+        except ValueError as exc:  # every weight zero
+            issues.append(Violation("error", where, f"bad weights: {exc}"))
 
     jobs = raw.get("jobs", 1)
     if not isinstance(jobs, int) or jobs < 1:
@@ -706,8 +706,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         configurations=configurations,
         master_seeds=seeds,
         trials_per_config=trials,
-        trial_length=float(length),
-        sa_floor=float(sa_floor) if sa_floor is not None else None,
+        trial_length=length,
+        sa_floor=sa_floor,
         budget=budget,
         weights=weights,
         jobs=jobs,

@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Any
 
 from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_sigma
-from .tasks import Configuration, ConfigurationError, Initiator, Violation, as_list, as_mapping, read_yaml
+from .tasks import Configuration, ConfigurationError, Initiator, Violation
+from .tasks import as_list, as_mapping, as_number, read_yaml
 from .vehicle import (
     GROUND_TRUTH_PARAMETERS,
     MAX_LEVEL,
@@ -27,6 +28,10 @@ from .vehicle import (
     RoadSegment,
     RoadTimeline,
 )
+
+#: Shortest mean or period, in seconds, of a periodic source (speed cycle, road dwell,
+#: cognitive function): it bounds the events a trial of a given length can fire.
+MIN_INTERVAL = 0.1
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,8 @@ class SpeedScript:
                     return (t, v)
             return None
         index = math.floor(after / self.period) + 1
+        if index * self.period <= after:  # rounding can land that multiple at or before `after`
+            index += 1
         return (index * self.period, self.values[index % len(self.values)])
 
 
@@ -140,8 +147,8 @@ def _parse_road(
             if not (isinstance(row, (list, tuple)) and len(row) == 3):
                 issues.append(Violation("error", where, f"fixed_segments[{i}] must be [start, end, max_level]"))
                 continue
-            start = _number(row[0], f"fixed_segments[{i}] start", where, issues)
-            end = _number(row[1], f"fixed_segments[{i}] end", where, issues)
+            start = as_number(row[0], f"fixed_segments[{i}] start", where, issues)
+            end = as_number(row[1], f"fixed_segments[{i}] end", where, issues)
             level = _parse_level(row[2], f"{where} fixed_segments[{i}]", issues)
             if start is not None and end is not None and level is not None:
                 segments.append(RoadSegment(start, end, level))
@@ -167,19 +174,18 @@ def _parse_road(
         level = _parse_level(key, f"{where} dwell", issues)
         if level is None or not isinstance(entry, dict):
             continue
-        mean = entry.get("mean")
-        if not isinstance(mean, (int, float)) or not 0 < mean < math.inf:
-            message = f"dwell mean for level {level} must be > 0 and finite, got {mean!r}"
-            issues.append(Violation("error", where, message))
+        for_level = f"for level {level}"
+        mean = as_number(entry.get("mean"), f"dwell mean {for_level}", where, issues, at_least=MIN_INTERVAL)
+        minimum = as_number(entry.get("min", 0.0), f"dwell min {for_level}", where, issues, at_least=0)
+        maximum = math.inf  # no upper clamp unless one is given
+        if "max" in entry:
+            maximum = as_number(entry["max"], f"dwell max {for_level}", where, issues, at_least=MIN_INTERVAL)
+        if mean is None or minimum is None or maximum is None:
             continue
-        minimum = _number(entry.get("min", 0.0), f"dwell min for level {level}", where, issues)
-        maximum = _number(entry.get("max", math.inf), f"dwell max for level {level}", where, issues)
-        if minimum is None or maximum is None:
+        if minimum > maximum:
+            issues.append(Violation("error", where, f"dwell bounds for level {level} need min <= max"))
             continue
-        if not 0 <= minimum <= maximum:
-            issues.append(Violation("error", where, f"dwell bounds for level {level} need 0 <= min <= max"))
-            continue
-        dwell[level] = DwellParams(mean=float(mean), minimum=minimum, maximum=maximum)
+        dwell[level] = DwellParams(mean=mean, minimum=minimum, maximum=maximum)
     # A rejected dwell section or entry is reported once, not again as a level without dwell.
     check_dwell = len(issues) == reported
     transitions: dict[int, dict[int, float]] = {}
@@ -195,11 +201,9 @@ def _parse_road(
             if target == level:
                 issues.append(Violation("error", where, f"self-transition for level {level}"))
                 continue
-            if not isinstance(weight, (int, float)) or not 0 < weight < math.inf:
-                message = f"transition weight {level}->{target} must be > 0 and finite, got {weight!r}"
-                issues.append(Violation("error", where, message))
-                continue
-            out[target] = float(weight)
+            weight = as_number(weight, f"transition weight {level}->{target}", where, issues, above=0)
+            if weight is not None:
+                out[target] = weight
         transitions[level] = out
     initial_level = _parse_level(proc.get("initial_level"), f"{where} process", issues)
     if initial_level is None:
@@ -211,15 +215,6 @@ def _parse_road(
         for level in sorted(reachable - dwell.keys()):
             issues.append(Violation("error", where, f"reachable level {level} has no dwell parameters"))
     return RoadProcessParams(initial_level=initial_level, dwell=dwell, transitions=transitions), None
-
-
-def _number(value: Any, what: str, where: str, issues: list[Violation]) -> float | None:
-    """``float(value)``, or None after a located error when it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        issues.append(Violation("error", where, f"{what} must be a number, got {value!r}"))
-        return None
 
 
 def _parse_level(key: Any, where: str, issues: list[Violation]) -> int | None:
@@ -244,18 +239,16 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
     if len(issues) > reported:
         return fallback
     if "constant" in raw:
-        constant = _number(raw["constant"], "speed constant", where, issues)
-        if constant is not None and not math.isfinite(constant):
-            issues.append(Violation("error", where, f"speed constant must be finite, got {constant}"))
-        return fallback if len(issues) > reported else SpeedScript(kind="constant", constant=constant)
+        constant = as_number(raw["constant"], "speed constant", where, issues)
+        return fallback if constant is None else SpeedScript(kind="constant", constant=constant)
     if "steps" in raw:
         steps: list[tuple[float, float]] = []
         for i, row in enumerate(as_list(raw["steps"], "steps", where, issues)):
             if not (isinstance(row, (list, tuple)) and len(row) == 2):
                 issues.append(Violation("error", where, f"steps[{i}] must be [time, value]"))
                 continue
-            time = _number(row[0], f"steps[{i}] time", where, issues)
-            value = _number(row[1], f"steps[{i}] value", where, issues)
+            time = as_number(row[0], f"steps[{i}] time", where, issues)
+            value = as_number(row[1], f"steps[{i}] value", where, issues)
             if time is not None and value is not None:
                 steps.append((time, value))
         if len(issues) > reported:
@@ -266,25 +259,22 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         if not all(a[0] < b[0] for a, b in zip(steps, steps[1:])):
             issues.append(Violation("error", where, "speed step times must increase"))
             return fallback
-        if not all(math.isfinite(value) for _, value in steps):
-            issues.append(Violation("error", where, f"speed step values must be finite, got {steps}"))
-            return fallback
         return SpeedScript(kind="steps", steps=tuple(steps))
     if "cycle" in raw:
         cycle = as_mapping(raw["cycle"], "cycle", where, issues)
+        if len(issues) > reported:
+            return fallback
+        period = as_number(cycle.get("period"), "cycle period", where, issues, at_least=MIN_INTERVAL)
         values = tuple(
-            _number(v, f"cycle values[{i}]", where, issues)
+            as_number(v, f"cycle values[{i}]", where, issues)
             for i, v in enumerate(as_list(cycle.get("values"), "cycle values", where, issues))
         )
         if len(issues) > reported:
             return fallback
-        period = cycle.get("period")
-        finite = all(map(math.isfinite, values))
-        if not isinstance(period, (int, float)) or not 0 < period < math.inf or not values or not finite:
-            message = "cycle needs period > 0 and a non-empty values list, all finite"
-            issues.append(Violation("error", where, f"{message}; got period {period!r}, values {list(values)}"))
+        if not values:
+            issues.append(Violation("error", where, "cycle needs a non-empty values list"))
             return fallback
-        return SpeedScript(kind="cycle", period=float(period), values=values)
+        return SpeedScript(kind="cycle", period=period, values=values)
     issues.append(Violation("error", where, "speed needs one of constant/steps/cycle"))
     return fallback
 
@@ -302,13 +292,11 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
             issues.append(Violation("error", spot, f"duplicate cognitive function {name!r}"))
             continue
         seen.add(name)
-        mean = entry.get("mean")
-        if not isinstance(mean, (int, float)) or not math.isfinite(mean) or mean <= 0:
-            issues.append(Violation("error", spot, f"mean must be a number > 0 and finite, got {mean!r}"))
+        mean = as_number(entry.get("mean"), "mean", spot, issues, at_least=MIN_INTERVAL)
+        if mean is None:
             continue
-        sigma = entry.get("sigma", default_sigma(float(mean)))
-        if not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma < 0:
-            issues.append(Violation("error", spot, f"sigma must be >= 0 and finite, got {sigma!r}"))
+        sigma = as_number(entry.get("sigma", default_sigma(mean)), "sigma", spot, issues, at_least=0)
+        if sigma is None:
             continue
         enabled = ALL_LEVELS
         if entry.get("levels") is not None:
@@ -317,8 +305,8 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
         functions.append(
             CognitiveFunction(
                 name=name,
-                mean_interval=float(mean),
-                sigma=float(sigma),
+                mean_interval=mean,
+                sigma=sigma,
                 target_task=str(entry["task"]),
                 enabled_levels=enabled,
             )
@@ -395,17 +383,16 @@ def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str,
             continue
         entry = as_mapping(entry, repr(name), where, issues)
         resolution = entry.get("resolution")
-        if resolution is not None and (not isinstance(resolution, (int, float)) or not 0 < resolution < math.inf):
-            message = f"{name!r} resolution must be > 0 and finite, got {resolution!r}"
-            issues.append(Violation("error", where, message))
-            continue
-        initial = entry.get("initial")
-        if isinstance(initial, float) and not math.isfinite(initial):
-            issues.append(Violation("error", where, f"{name!r} initial must be finite, got {initial!r}"))
+        if resolution is not None:
+            resolution = as_number(resolution, f"{name!r} resolution", where, issues, above=0)
+            if resolution is None:
+                continue
+        initial = entry.get("initial")  # any ground-truth value; an int or float must be a finite number
+        if type(initial) in (int, float) and as_number(initial, f"{name!r} initial", where, issues) is None:
             continue
         parameters[name] = AwarenessParameter(
             name=name,
-            resolution=float(resolution) if resolution is not None else None,
+            resolution=resolution,
             initial=initial,
         )
     return parameters
@@ -418,13 +405,17 @@ def _parse_vehicle(raw: Any, where: str, issues: list[Violation]) -> VehicleSett
     level = _parse_level(raw.get("initial_level", 0), where, issues)
     if level is not None:
         settings.initial_level = level
-    lead = raw.get("tor_lead_seconds", settings.tor_lead_seconds)
-    final = raw.get("tor_final_seconds", settings.tor_final_seconds)
-    if not isinstance(lead, (int, float)) or not isinstance(final, (int, float)) or not lead >= final >= 0:
-        issues.append(Violation("error", where, "need tor_lead_seconds >= tor_final_seconds >= 0"))
+    lead, final = (
+        as_number(raw.get(key, getattr(settings, key)), key, where, issues, at_least=0)
+        for key in ("tor_lead_seconds", "tor_final_seconds")
+    )
+    if lead is None or final is None:
         return settings
-    settings.tor_lead_seconds = float(lead)
-    settings.tor_final_seconds = float(final)
+    if lead < final:
+        issues.append(Violation("error", where, "need tor_lead_seconds >= tor_final_seconds"))
+        return settings
+    settings.tor_lead_seconds = lead
+    settings.tor_final_seconds = final
     return settings
 
 

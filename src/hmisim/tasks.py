@@ -191,6 +191,40 @@ def _shaped(value: Any, shape: type, noun: str, what: str, where: str, issues: l
     return shape()
 
 
+def as_number(
+    value: Any,
+    what: str,
+    where: str,
+    issues: list[Violation],
+    *,
+    above: float | None = None,
+    at_least: float | None = None,
+    at_most: float | None = None,
+) -> float | None:
+    """An input value as a finite float within the bounds, or None after one located error.
+
+    A number is anything ``float()`` accepts (an int, a float, numeric text) except a bool.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        issues.append(Violation("error", where, f"{what} must be a number, got {value!r}"))
+        return None
+    if (
+        math.isfinite(number)
+        and (above is None or number > above)
+        and (at_least is None or number >= at_least)
+        and (at_most is None or number <= at_most)
+    ):
+        return number
+    bounds = ((">", above), (">=", at_least), ("<=", at_most))
+    rule = "".join(f"{sign} {bound:g} and " for sign, bound in bounds if bound is not None)
+    issues.append(Violation("error", where, f"{what} must be {rule}finite, got {value!r}"))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -200,14 +234,6 @@ def _normalize_channel(raw: str) -> AttentionalChannel | None:
     try:
         return AttentionalChannel(text)
     except ValueError:
-        return None
-
-
-def _parse_float(cell: str, where: str, column: str, issues: list[Violation]) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        issues.append(Violation("error", where, f"{column} is not a number: {cell!r}"))
         return None
 
 
@@ -232,7 +258,7 @@ def load_elements(path: str | Path) -> dict[str, InterfaceElement]:
 
 
 def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, InterfaceElement] | None:
-    """The element catalog, or None after an error that leaves no catalog at all."""
+    """The element catalog, or None after an error that leaves it without every element's name."""
     where = str(path)
     raw = read_yaml(path, "element", issues)
     if raw is None:
@@ -245,27 +271,27 @@ def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, Int
     if len(issues) > reported:
         return None
     elements: dict[str, InterfaceElement] = {}
+    named = True
     for i, entry in enumerate(entries):
         spot = f"{where} elements[{i}]"
         if not isinstance(entry, dict) or "name" not in entry:
             issues.append(Violation("error", spot, "each element needs at least a 'name'"))
+            named = False
             continue
         name = str(entry["name"]).strip()
         on_road = entry.get("on_road", False)
-        gaze = entry.get("gaze_time", 0.0)
         reported = len(issues)
         if not isinstance(on_road, bool):
             issues.append(Violation("error", spot, f"on_road must be a boolean, got {on_road!r}"))
-        if not isinstance(gaze, (int, float)) or isinstance(gaze, bool) or not math.isfinite(gaze) or gaze < 0:
-            issues.append(Violation("error", spot, f"gaze_time must be a number >= 0 and finite, got {gaze!r}"))
+        gaze = as_number(entry.get("gaze_time", 0.0), "gaze_time", spot, issues, at_least=0)
         if name in elements:
             issues.append(Violation("error", spot, f"duplicate element name {name!r}"))
             continue
         if len(issues) > reported:
             # The load fails already; keeping the name known spares the tasks on it follow-on errors.
             on_road, gaze = False, 0.0
-        elements[name] = InterfaceElement(name=name, on_road=on_road, gaze_time=float(gaze))
-    return elements
+        elements[name] = InterfaceElement(name=name, on_road=on_road, gaze_time=gaze)
+    return elements if named else None
 
 
 def load_scale(path: str | Path | None) -> WorkloadScale:
@@ -298,21 +324,10 @@ def _load_scale_collect(path: Path, issues: list[Violation]) -> WorkloadScale:
             issues.append(Violation("error", where, f"category {cat_name!r} must map descriptors to values"))
             continue
         for descriptor, value in table.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                issues.append(
-                    Violation("error", where, f"({cat_name}, {descriptor!r}) value is not a number")
-                )
-                continue
-            if not 0.0 < float(value) <= WORKLOAD_MAX:
-                issues.append(
-                    Violation(
-                        "error",
-                        where,
-                        f"({cat_name}, {descriptor!r}) = {value} outside (0, {WORKLOAD_MAX}]",
-                    )
-                )
-                continue
-            overrides[(category, str(descriptor).strip())] = float(value)
+            what = f"({cat_name}, {descriptor!r}) value"
+            value = as_number(value, what, where, issues, above=0, at_most=WORKLOAD_MAX)
+            if value is not None:
+                overrides[(category, str(descriptor).strip())] = value
     return WorkloadScale().with_overrides(overrides)
 
 
@@ -343,7 +358,7 @@ def _parse_task_row(
         )
         return None
 
-    duration = _parse_float(cell("Duration"), where, "Duration", errors) if cell("Duration") else None
+    duration = as_number(cell("Duration"), "Duration", where, errors, above=0) if cell("Duration") else None
     if cell("Duration") == "":
         errors.append(Violation("error", where, "Duration is required"))
     priority: int | None = None
@@ -369,7 +384,7 @@ def _parse_task_row(
     # Gaze time: explicit cell wins; otherwise visual tasks inherit the
     # element's refocus time and non-visual tasks get 0.
     if cell("GazeTime"):
-        gaze = _parse_float(cell("GazeTime"), where, "GazeTime", errors)
+        gaze = as_number(cell("GazeTime"), "GazeTime", where, errors, at_least=0)
     elif channel is AttentionalChannel.VISUAL and element is not None:
         gaze = element.gaze_time
     else:
@@ -378,44 +393,37 @@ def _parse_task_row(
     cog_desc = cell("CognitiveDescriptor") or None
     perc_desc = cell("PerceptualDescriptor") or None
 
-    def resolve(
-        column: str,
-        descriptor: str | None,
-        category: ScaleCategory,
-        explicit_cell: str,
-    ) -> float | None:
-        explicit = _parse_float(explicit_cell, where, column, errors) if explicit_cell else None
+    def resolve(column: str, descriptor: str | None, category: ScaleCategory) -> float | None:
         from_scale: float | None = None
         if descriptor is not None:
             try:
                 from_scale = scale.lookup(category, descriptor)
             except UnknownDescriptorError as exc:
                 errors.append(Violation("error", where, str(exc)))
-        if explicit is not None and from_scale is not None:
-            if abs(explicit - from_scale) > _TOLERANCE:
-                warnings.append(
-                    Violation(
-                        "warning",
-                        where,
-                        f"{column}={explicit} disagrees with scale value {from_scale} "
-                        f"for {descriptor!r}; keeping the explicit value",
-                    )
-                )
-            return explicit
-        if explicit is not None:
-            return explicit
-        if from_scale is not None:
+        if not cell(column):
+            if descriptor is None:
+                errors.append(Violation("error", where, f"{column} missing and no descriptor to fill it from"))
             return from_scale
-        errors.append(
-            Violation("error", where, f"{column} missing and no descriptor to fill it from")
-        )
-        return None
+        explicit = as_number(cell(column), column, where, errors, above=0, at_most=WORKLOAD_MAX)
+        if explicit is not None and from_scale is not None and abs(explicit - from_scale) > _TOLERANCE:
+            warnings.append(
+                Violation(
+                    "warning",
+                    where,
+                    f"{column}={explicit} disagrees with scale value {from_scale} "
+                    f"for {descriptor!r}; keeping the explicit value",
+                )
+            )
+        return explicit
 
-    perc = resolve("PerceptualWorkload", perc_desc, perceptual_category(channel), cell("PerceptualWorkload"))
-    cog = resolve("CognitiveWorkload", cog_desc, ScaleCategory.COGNITIVE, cell("CognitiveWorkload"))
+    perc = resolve("PerceptualWorkload", perc_desc, perceptual_category(channel))
+    cog = resolve("CognitiveWorkload", cog_desc, ScaleCategory.COGNITIVE)
 
-    if "TotalTime" in row and (row.get("TotalTime") or "").strip():
-        supplied = _parse_float(row["TotalTime"].strip(), where, "TotalTime", warnings)
+    if cell("TotalTime"):
+        # TotalTime is derived and never stored, so a bad cell is only a warning.
+        unusable: list[Violation] = []
+        supplied = as_number(cell("TotalTime"), "TotalTime", where, unusable)
+        warnings.extend(Violation("warning", v.where, f"{v.message}; ignoring it") for v in unusable)
         if (
             supplied is not None
             and duration is not None
@@ -488,8 +496,8 @@ def load_configuration(
             if task is not None:
                 tasks.append(task)
     if elements is None:
-        # The element file is reported already; checking locations against no catalog would
-        # add one follow-on error per task.
+        # The element file is reported already; checking locations against a catalog missing
+        # names would add one follow-on error per task.
         elements = {t.location: InterfaceElement(t.location, on_road=False) for t in tasks}
 
     config = Configuration(tasks=tasks, elements=elements, scale=scale, warnings=warnings)

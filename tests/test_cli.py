@@ -74,6 +74,14 @@ ROAD_PROCESS = (
     "      4: {mean: 300, min: 90, max: 900}\n      2: {mean: 180, min: 60, max: 600}\n"
     "    transitions:\n      4: {2: 1.0}\n      2: {4: 1.0}"
 )
+#: A YAML integer too large for a float.
+HUGE = "1" + "0" * 400
+
+
+def huge(name, old, new, message):
+    """A row whose value is HUGE, with a readable test id."""
+    field = message.split(": ")[-1].split(" must")[0]
+    return pytest.param(name, old, new.format(HUGE), message + HUGE, id=f"huge {field}")
 
 
 @pytest.mark.parametrize(
@@ -81,15 +89,15 @@ ROAD_PROCESS = (
     [
         (
             "demo_elements.yaml", "gaze_time: 0.2", "gaze_time: .nan",
-            "elements[0]: gaze_time must be a number >= 0 and finite, got nan",
+            "elements[0]: gaze_time must be >= 0 and finite, got nan",
         ),
         (
             "demo_tasks.csv", ",1.0,,speed_check,", ",inf,,speed_check,",
-            "task check_speed: duration must be > 0 and finite, got inf",
+            "row 2 (check_speed): Duration must be > 0 and finite, got 'inf'",
         ),
         (
             "demo_scenario.yaml", "mean: 20, sigma: 5", "mean: .inf, sigma: 5",
-            "cognitive_functions[0]: mean must be a number > 0 and finite, got inf",
+            "cognitive_functions[0]: mean must be >= 0.1 and finite, got inf",
         ),
         (
             "demo_scenario.yaml", "mean: 20, sigma: 5", "mean: 20, sigma: .inf",
@@ -97,7 +105,7 @@ ROAD_PROCESS = (
         ),
         (
             "demo_scenario.yaml", "mean: 300, min: 90", "mean: .nan, min: 90",
-            "road: dwell mean for level 4 must be > 0 and finite, got nan",
+            "road: dwell mean for level 4 must be >= 0.1 and finite, got nan",
         ),
         (
             "demo_scenario.yaml", "4: {2: 1.0}", "4: {2: .nan}",
@@ -105,15 +113,15 @@ ROAD_PROCESS = (
         ),
         (
             "demo_scenario.yaml", "period: 120", "period: .nan",
-            "speed: cycle needs period > 0 and a non-empty values list, all finite; got period nan",
+            "speed: cycle period must be >= 0.1 and finite, got nan",
         ),
         (
             "demo_scenario.yaml", "period: 120", "period: .inf",
-            "speed: cycle needs period > 0 and a non-empty values list, all finite; got period inf",
+            "speed: cycle period must be >= 0.1 and finite, got inf",
         ),
         (
             "demo_scenario.yaml", "values: [50, 70,", "values: [.nan, 70,",
-            "speed: cycle needs period > 0 and a non-empty values list, all finite; got period 120, values [nan,",
+            "speed: cycle values[0] must be finite, got nan",
         ),
         (
             "demo_scenario.yaml", CYCLE, "constant: .nan",
@@ -171,6 +179,41 @@ ROAD_PROCESS = (
             "demo_scenario.yaml", ROAD_PROCESS, "fixed_segments:\n    - [0, 500, high]",
             "road fixed_segments[0]: automation level expected, got 'high'",
         ),
+        (
+            "demo_scenario.yaml", "mean: 300, min: 90", "mean: true, min: 90",
+            "road: dwell mean for level 4 must be a number, got True",
+        ),
+        (
+            "demo_scenario.yaml", "tor_lead_seconds: 60", "tor_lead_seconds: .inf",
+            "vehicle: tor_lead_seconds must be >= 0 and finite, got inf",
+        ),
+        huge("demo_elements.yaml", "gaze_time: 0.2", "gaze_time: {}", "elements[0]: gaze_time must be a number, got "),
+        huge(
+            "demo_scenario.yaml", "mean: 300, min: 90", "mean: {}, min: 90",
+            "road: dwell mean for level 4 must be a number, got ",
+        ),
+        huge("demo_scenario.yaml", "4: {2: 1.0}", "4: {{2: {}}}", "road: transition weight 4->2 must be a number, got "),
+        huge("demo_scenario.yaml", "period: 120", "period: {}", "speed: cycle period must be a number, got "),
+        huge(
+            "demo_scenario.yaml", "mean: 20, sigma: 5", "mean: {}, sigma: 5",
+            "cognitive_functions[0]: mean must be a number, got ",
+        ),
+        huge(
+            "demo_scenario.yaml", "mean: 20, sigma: 5", "sigma: {}, mean: 20",
+            "cognitive_functions[0]: sigma must be a number, got ",
+        ),
+        huge(
+            "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {{resolution: {}}}",
+            "awareness: 'speed' resolution must be a number, got ",
+        ),
+        huge(
+            "demo_scenario.yaml", "tor_lead_seconds: 60", "tor_lead_seconds: {}",
+            "vehicle: tor_lead_seconds must be a number, got ",
+        ),
+        huge(
+            "demo_scenario.yaml", "speed: {resolution: 1}", "speed: {{resolution: 1, initial: {}}}",
+            "awareness: 'speed' initial must be a number, got ",
+        ),
     ],
 )
 def test_non_finite_input_fails_validate_and_run(tmp_path, capsys, name, old, new, message):
@@ -184,22 +227,39 @@ def test_non_finite_input_fails_validate_and_run(tmp_path, capsys, name, old, ne
         "--elements", str(paths["demo_elements.yaml"]),
         "--scenario", str(paths["demo_scenario.yaml"]),
     ]
-    assert main(["validate", *inputs]) == 1
-    assert message in capsys.readouterr().out
-    assert main(["run", *inputs, "--length", "100", "--out", str(tmp_path / "out")]) == 1
-    assert message in capsys.readouterr().err
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
 
 
-def test_rejected_element_is_reported_once(tmp_path, capsys):
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("gaze_time: 0.2", "gaze_time: .nan", "elements[0]: gaze_time must be >= 0 and finite, got nan"),
+        ("- name: instrument_cluster", "- nam: instrument_cluster", "elements[0]: each element needs at least a 'name'"),
+    ],
+)
+def test_rejected_element_is_reported_once(tmp_path, capsys, old, new, message):
+    # The four demo tasks on the instrument cluster add no follow-on location errors.
     elements = tmp_path / "elements.yaml"
     text = (PKG_DATA / "demo_elements.yaml").read_text()
-    assert text.count("gaze_time: 0.2") == 1
-    elements.write_text(text.replace("gaze_time: 0.2", "gaze_time: .nan"))
-    code = main(["validate", *DEMO[:2], "--elements", str(elements)])
-    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("error:")]
-    assert code == 1
-    assert len(errors) == 1
-    assert errors[0].endswith("elements[0]: gaze_time must be a number >= 0 and finite, got nan")
+    assert text.count(old) == 1
+    elements.write_text(text.replace(old, new))
+    inputs = [*DEMO[:2], "--elements", str(elements), "--scenario", str(PKG_DATA / "demo_scenario.yaml")]
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
+
+
+def test_unusable_total_time_is_a_warning_from_validate_and_run(tmp_path, capsys):
+    tasks = tmp_path / "tasks.csv"
+    header, *rows = (DATA / "scripted_tasks.csv").read_text().splitlines()
+    tasks.write_text("\n".join([header + ",TotalTime", *(row + ",soon" for row in rows)]) + "\n")
+    inputs = ["--tasks", str(tasks), "--elements", str(DATA / "scripted_elements.yaml")]
+    assert main(["validate", *inputs]) == 0
+    out = capsys.readouterr().out
+    assert "(check_speed): TotalTime must be a number, got 'soon'; ignoring it" in out
+    assert "OK: 4 task(s), 4 element(s), 4 warning(s)" in out
+    assert main(["run", *inputs, *SCRIPTED_SCENARIO, "--length", "100", "--out", str(tmp_path / "with")]) == 0
+    assert main(run_args(tmp_path / "without")) == 0
+    capsys.readouterr()
+    assert (tmp_path / "with" / "metrics.csv").read_bytes() == (tmp_path / "without" / "metrics.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -207,7 +267,7 @@ def test_rejected_element_is_reported_once(tmp_path, capsys):
     [
         (
             "mean: 300, min: 90", "mean: .nan, min: 90",
-            "road: dwell mean for level 4 must be > 0 and finite, got nan",
+            "road: dwell mean for level 4 must be >= 0.1 and finite, got nan",
         ),
         (
             "mean: 180, min: 60", "mean: 180, min: abc",

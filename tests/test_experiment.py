@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hmisim import experiment, metrics
+from hmisim.cli import main
 from hmisim.experiment import (
     Comparison,
     ExperimentPlan,
@@ -488,6 +489,9 @@ def write_plan(tmp_path, body):
     return path
 
 
+#: A YAML integer too large for a float.
+HUGE = "1" + "0" * 400
+
 MINIMAL_PLAN = """\
 scenario: scenario.yaml
 configurations:
@@ -541,17 +545,28 @@ def test_plan_trials_can_use_seed_prefix(tmp_path):
         ("trial_length: -1\n", "trial_length must be > 0"),
         ("trial_length: .inf\n", "trial_length must be > 0 and finite, got inf"),
         ("trial_length: .nan\n", "trial_length must be > 0 and finite, got nan"),
-        ("sa_floor: 140\n", "within [0, 100]"),
+        pytest.param(f"trial_length: {HUGE}\n", f"trial_length must be a number, got {HUGE}", id="huge trial_length"),
+        ("trial_length: true\n", "trial_length must be a number, got True"),
+        ("sa_floor: 140\n", "sa_floor must be >= 0 and <= 100 and finite, got 140"),
+        ("sa_floor: true\n", "sa_floor must be a number, got True"),
         ("budget: -3\n", "budget must be an integer >= 0"),
-        ("weights: {cognitive: -1}\n", "bad weights"),
-        ("weights: {eyes_off: .nan}\n", "bad weights: objective weights must be >= 0 and finite"),
+        ("weights: {cognitive: -1}\n", "cognitive weight must be >= 0 and finite, got -1"),
+        ("weights: {eyes_off: .nan}\n", "eyes_off weight must be >= 0 and finite, got nan"),
+        pytest.param(
+            f"weights: {{perceptual: {HUGE}}}\n", f"perceptual weight must be a number, got {HUGE}", id="huge weight"
+        ),
+        ("weights: {cognitive: 0, perceptual: 0, eyes_off: 0}\n", "bad weights: at least one objective weight must be > 0"),
         ("jobs: 0\n", "jobs must be an integer >= 1"),
     ],
 )
-def test_plan_rejects_bad_values(tmp_path, extra, fragment):
+def test_plan_rejects_bad_values(tmp_path, capsys, extra, fragment):
+    plan = write_plan(tmp_path, MINIMAL_PLAN + extra)
     with pytest.raises(PlanError) as err:
-        load_plan(write_plan(tmp_path, MINIMAL_PLAN + extra))
+        load_plan(plan)
+    assert len(err.value.violations) == 1
     assert fragment in str(err.value)
+    assert main(["compare", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    assert fragment in capsys.readouterr().err
 
 
 def test_plan_needs_scenario_and_configurations(tmp_path):

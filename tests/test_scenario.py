@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmisim.cli import main
 from hmisim.driver import ALL_LEVELS
+from hmisim.experiment import PlanError, load_plan
+from hmisim.replay import check_safety_rules, replay_metrics
 from hmisim.scenario import (
     ControlBinding,
     ScenarioError,
@@ -21,7 +23,8 @@ from hmisim.scenario import (
     cross_validate,
     load_scenario,
 )
-from hmisim.tasks import Initiator
+from hmisim.tasks import ConfigurationError, Initiator, load_elements
+from hmisim.trial import run_trial
 from hmisim.vehicle import TorPhase
 
 
@@ -64,6 +67,9 @@ def test_speed_cycle_wraps_values():
     assert script.next_change(240.0) == (360.0, 50.0)
     # mid-interval queries round up to the next boundary
     assert script.next_change(117.0) == (120.0, 70.0)
+    # a period with inexact multiples still moves strictly forward (4.3 / 0.1 rounds to 42.99...)
+    tenth = SpeedScript(kind="cycle", period=0.1, values=(1.0, 2.0))
+    assert tenth.next_change(43 * 0.1) == (44 * 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +172,7 @@ def test_missing_file_raises(tmp_path):
         (
             "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: -5}\n"
             "    transitions:\n      2: {4: 1}\n",
-            "mean for level 2 must be > 0",
+            "road: dwell mean for level 2 must be >= 0.1 and finite, got -5",
         ),
         (
             "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: 10}\n"
@@ -180,11 +186,15 @@ def test_missing_file_raises(tmp_path):
         ),
         (MINIMAL + "speed:\n  steps:\n    - [5, 50]\n", "must start at time 0"),
         (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [0, 60]\n", "must increase"),
-        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [.nan, 60]\n", "must increase"),
-        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [5, .nan]\n", "step values must be finite"),
-        (MINIMAL + "speed:\n  cycle: {period: 0, values: [5]}\n", "period > 0"),
+        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [.nan, 60]\n", "speed: steps[1] time must be finite, got nan"),
+        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [5, .nan]\n", "speed: steps[1] value must be finite, got nan"),
+        (MINIMAL + "speed:\n  cycle: {period: 0, values: [5]}\n", "speed: cycle period must be >= 0.1 and finite, got 0"),
+        (
+            MINIMAL + "speed:\n  cycle: {period: 1.0e-6, values: [5]}\n",
+            "speed: cycle period must be >= 0.1 and finite, got 1e-06",
+        ),
         (MINIMAL + "speed:\n  warp: 9\n", "one of constant/steps/cycle"),
-        (MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 0}\n", "mean must be a number > 0"),
+        (MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 0}\n", "[0]: mean must be >= 0.1 and finite, got 0"),
         (MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 5, sigma: -1}\n", "sigma"),
         (
             MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 5}\n  - {name: a, task: u, mean: 5}\n",
@@ -198,7 +208,10 @@ def test_missing_file_raises(tmp_path):
         (MINIMAL + "awareness:\n  cabin_temp: {}\n", "no ground-truth counterpart"),
         (MINIMAL + "awareness:\n  speed: {resolution: 0}\n", "resolution must be > 0"),
         (MINIMAL + "vehicle:\n  initial_level: 7\n", "outside 0..4"),
-        (MINIMAL + "vehicle:\n  tor_lead_seconds: 5\n  tor_final_seconds: 10\n", "tor_lead_seconds >="),
+        (
+            MINIMAL + "vehicle:\n  tor_lead_seconds: 5\n  tor_final_seconds: 10\n",
+            "vehicle: need tor_lead_seconds >= tor_final_seconds",
+        ),
     ],
 )
 def test_invalid_scenarios_rejected(tmp_path, body, fragment):
@@ -311,7 +324,8 @@ def test_machine_initiated_control_task_is_error(tmp_path, demo_config):
 
 
 # ---------------------------------------------------------------------------
-# generated inputs: every malformed section is rejected, never crashes
+# generated inputs: every malformed section is rejected, never crashes, and every
+# accepted scenario runs a trial that passes the trace audits
 
 
 PKG_DATA = Path(str(resources.files("hmisim") / "data"))
@@ -371,7 +385,11 @@ KEY_PATHS = [
     ("vehicle", "tor_final_seconds"),
 ]
 
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+#: Unbounded ``st.integers()`` practically never leaves the float range, so the
+#: overflowing integers and tiny positive intervals are drawn on purpose; the
+#: in-range floats (from ``MIN_INTERVAL`` up) let accepted scenarios reach the trial.
+EDGE_NUMBERS = st.sampled_from([10**400, -(10**400), 1e-300, 0.05]) | st.floats(min_value=0.1, max_value=1e3)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | EDGE_NUMBERS
 YAML_VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SCALARS, inner, max_size=3),
@@ -392,22 +410,107 @@ def replaced(document, path, value):
 
 
 @pytest.fixture(scope="module")
-def scenario_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("generated") / "scenario.yaml"
+def generated(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 @settings(max_examples=300, deadline=None)
 @given(path=st.sampled_from(KEY_PATHS), value=YAML_VALUES)
-def test_generated_scenario_is_loaded_or_rejected(scenario_file, path, value):
-    scenario = scenario_file
+@example(path=("speed", "cycle", "period"), value=0.1)
+@example(path=("awareness", "speed", "initial"), value=10**400)
+def test_generated_scenario_is_loaded_or_rejected(generated, demo_config, path, value):
+    scenario = generated / "scenario.yaml"
     scenario.write_text(yaml.safe_dump(replaced(DEMO_SCENARIO, path, value)))
     try:
-        load_scenario(scenario)
+        loaded = load_scenario(scenario)
     except ScenarioError:
-        pass
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main([
-            "validate", "--tasks", str(PKG_DATA / "demo_tasks.csv"),
-            "--elements", str(PKG_DATA / "demo_elements.yaml"), "--scenario", str(scenario),
-        ])
+        loaded = None
+    code = quiet_main([
+        "validate", "--tasks", str(PKG_DATA / "demo_tasks.csv"),
+        "--elements", str(PKG_DATA / "demo_elements.yaml"), "--scenario", str(scenario),
+    ])
     assert code in (0, 1)
+    if loaded is None or code == 1:
+        assert code == 1
+        return
+    # Accepted: a short traced trial runs and its trace passes the audits.
+    length = 600.0
+    result = run_trial(demo_config, loaded, seed=1, trial_length=length)
+    assert check_safety_rules(result.records).ok()
+    replayed = replay_metrics(result.records, length)
+    m = result.metrics
+    assert replayed.eyes_off_seconds == pytest.approx(m.eyes_off_seconds, rel=1e-9, abs=1e-9)
+    assert replayed.cognitive_overload_seconds == pytest.approx(m.cognitive_overload_seconds, rel=1e-9, abs=1e-9)
+    assert replayed.perceptual_overload_seconds == pytest.approx(m.perceptual_overload_seconds, rel=1e-9, abs=1e-9)
+    assert replayed.sa_average(length) == pytest.approx(m.sa_average, rel=1e-9, abs=1e-9)
+
+
+DEMO_ELEMENTS = yaml.safe_load((PKG_DATA / "demo_elements.yaml").read_text())
+DEMO_PLAN = yaml.safe_load((PKG_DATA / "demo_plan.yaml").read_text())
+# Absolute input paths, so the generated plan can be written anywhere.
+DEMO_PLAN["scenario"] = str(PKG_DATA / DEMO_PLAN["scenario"])
+for _entry in DEMO_PLAN["configurations"]:
+    _entry.update(tasks=str(PKG_DATA / _entry["tasks"]), elements=str(PKG_DATA / _entry["elements"]))
+
+#: (file, key path) into every part of the element file and the plan their loaders read.
+FILE_KEY_PATHS = [("elements", path) for path in [
+    (),
+    ("elements",),
+    ("elements", 0),
+    ("elements", 0, "name"),
+    ("elements", 0, "on_road"),
+    ("elements", 0, "gaze_time"),
+    ("elements", 2, "gaze_time"),
+]] + [("plan", path) for path in [
+    (),
+    ("name",),
+    ("scenario",),
+    ("configurations",),
+    ("configurations", 0),
+    ("configurations", 0, "name"),
+    ("configurations", 0, "tasks"),
+    ("configurations", 0, "scale"),
+    ("configurations", 1, "elements"),
+    ("trials_per_config",),
+    ("trial_length",),
+    ("master_seeds",),
+    ("master_seeds", "first"),
+    ("master_seeds", "count"),
+    ("sa_floor",),
+    ("budget",),
+    ("weights",),
+    ("weights", "cognitive"),
+    ("weights", "eyes_off"),
+    ("jobs",),
+]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(FILE_KEY_PATHS), value=YAML_VALUES)
+@example(target=("plan", ("master_seeds", "count")), value=10**400)
+@example(target=("plan", ("trials_per_config",)), value=10**400)
+def test_generated_element_file_or_plan_is_loaded_or_rejected(generated, target, value):
+    kind, path = target
+    document = DEMO_ELEMENTS if kind == "elements" else DEMO_PLAN
+    file = generated / f"{kind}.yaml"
+    file.write_text(yaml.safe_dump(replaced(document, path, value)))
+    if kind == "elements":
+        with contextlib.suppress(ConfigurationError):
+            load_elements(file)
+        argv = [
+            "validate", "--tasks", str(PKG_DATA / "demo_tasks.csv"), "--elements", str(file),
+            "--scenario", str(PKG_DATA / "demo_scenario.yaml"),
+        ]
+    else:
+        with contextlib.suppress(PlanError):
+            load_plan(file)
+        argv = [
+            "compare", "--plan", str(file), "--seed", "1", "--trials", "1", "--length", "50",
+            "--jobs", "1", "--out", str(generated / "out"),
+        ]
+    assert quiet_main(argv) in (0, 1)

@@ -254,7 +254,7 @@ def test_all_row_errors_collected_not_just_first(tmp_path):
     with pytest.raises(ConfigurationError) as err:
         load_configuration(*write_inputs(tmp_path, rows))
     text = str(err.value)
-    assert "duration must be > 0" in text
+    assert "(a): Duration must be > 0 and finite, got '-1'" in text
     assert "'ghost'" in text
     assert "Priority is not an integer" in text
 
