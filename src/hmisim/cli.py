@@ -25,8 +25,10 @@ from pathlib import Path
 from .experiment import (
     DEFAULT_TRIAL_LENGTH,
     DEFAULT_TRIALS,
+    MAX_TRIALS,
     ExperimentPlan,
     ObjectiveWeights,
+    PlanError,
     SearchResult,
     compare,
     load_plan,
@@ -44,7 +46,15 @@ from .metrics import (
     write_trace,
 )
 from .scenario import cross_validate, load_scenario
-from .tasks import Configuration, ConfigurationError, Violation, load_configuration, read_input, write_tasks_csv
+from .tasks import (
+    Configuration,
+    ConfigurationError,
+    Violation,
+    as_integer,
+    load_configuration,
+    read_input,
+    write_tasks_csv,
+)
 from .trial import run_trial
 
 
@@ -134,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_batch_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="first master seed (seeds count up from it)")
     p.add_argument("--seeds-file", help="file with one master seed per line")
-    p.add_argument("--trials", type=int, help=f"trials per design (default {DEFAULT_TRIALS})")
+    p.add_argument("--trials", type=int, help=f"trials per design, 1 to {MAX_TRIALS} (default {DEFAULT_TRIALS})")
     p.add_argument("--length", type=float, help=f"trial length in seconds (default {DEFAULT_TRIAL_LENGTH:g})")
     p.add_argument("--jobs", type=int, help="worker processes for trial fan-out (default 1)")
 
@@ -214,7 +224,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan) if args.plan else None
     if plan is not None:
         if len(plan.configurations) < 2:
-            raise UsageError("compare needs a plan with at least two configurations")
+            message = "compare needs a plan with at least two configurations"
+            raise PlanError([Violation("error", args.plan, message)])
         named_a, named_b = plan.configurations[0], plan.configurations[1]
         config_a, config_b = named_a.load(), named_b.load()
         scenario = plan.load_scenario()
@@ -332,17 +343,22 @@ def _batch_settings(
     args: argparse.Namespace, plan: ExperimentPlan | None
 ) -> tuple[list[int], float, int]:
     """Resolve (seeds, trial length, jobs); flags override the plan."""
+    trials = args.trials
+    if trials is not None:
+        issues: list[Violation] = []
+        if as_integer(trials, "--trials", "trials", issues, at_least=1, at_most=MAX_TRIALS) is None:
+            raise ConfigurationError(issues)
     if args.seeds_file:
         seeds = _read_seeds_file(args.seeds_file)
     elif args.seed is not None:
-        trials = args.trials or (plan.trials_per_config if plan else DEFAULT_TRIALS)
-        seeds = list(range(args.seed, args.seed + trials))
+        count = trials if trials is not None else (plan.trials_per_config if plan else DEFAULT_TRIALS)
+        seeds = list(range(args.seed, args.seed + count))
     elif plan is not None:
         seeds = list(plan.master_seeds)
     else:
-        trials = args.trials or DEFAULT_TRIALS
-        seeds = list(range(1, trials + 1))
-    trials = args.trials or (plan.trials_per_config if plan else len(seeds))
+        seeds = list(range(1, (trials if trials is not None else DEFAULT_TRIALS) + 1))
+    if trials is None:
+        trials = plan.trials_per_config if plan else len(seeds)
     if len(seeds) < trials:
         raise ConfigurationError(
             [Violation("error", "seeds", f"{trials} trials need {trials} seeds, got {len(seeds)}")]

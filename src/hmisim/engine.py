@@ -34,12 +34,13 @@ class SimulationError(Exception):
 
 
 class EventKind(str, Enum):
-    """What can be put on the calendar; each value is also its trace tag."""
+    """What can be put on the calendar (values must differ, or members alias)."""
 
     TRIGGER = "trigger"
     TASK_END = "task-end"
     ROAD_CHANGE = "road-change"
-    VEHICLE_TRANSITION = "vehicle-transition"
+    TOR = "tor"
+    SPEED_CHANGE = "speed-change"
 
 
 @dataclass(eq=False)

@@ -37,6 +37,7 @@ from .tasks import (
     ConfigurationError,
     Task,
     Violation,
+    as_integer,
     as_list,
     as_mapping,
     as_number,
@@ -640,30 +641,24 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         scenario_path = resolve(str(raw["scenario"]))
 
     raw_seeds = raw.get("master_seeds")
-    trials = raw.get("trials_per_config")
     seeds: list[int] = []
     if isinstance(raw_seeds, dict):
-        first = raw_seeds.get("first", 1)
-        count = raw_seeds.get("count")
-        if not isinstance(first, int) or not isinstance(count, int) or not 1 <= count <= MAX_TRIALS:
-            message = f"master_seeds shorthand needs integer first and count >= 1 and <= {MAX_TRIALS}"
-            issues.append(Violation("error", where, message))
-        else:
+        first = as_integer(raw_seeds.get("first", 1), "master_seeds first", where, issues)
+        count = as_integer(
+            raw_seeds.get("count"), "master_seeds count", where, issues, at_least=1, at_most=MAX_TRIALS
+        )
+        if first is not None and count is not None:
             seeds = list(range(first, first + count))
     elif isinstance(raw_seeds, list):
-        for s in raw_seeds:
-            if not isinstance(s, int):
-                issues.append(Violation("error", where, f"master seed {s!r} is not an integer"))
-            else:
-                seeds.append(s)
+        found = (as_integer(s, "master seed", where, issues) for s in raw_seeds)
+        seeds = [s for s in found if s is not None]
     elif raw_seeds is not None:
         issues.append(Violation("error", where, "master_seeds must be a list or {first, count}"))
 
+    trials = raw.get("trials_per_config")
     if trials is None:
         trials = len(seeds) if seeds else DEFAULT_TRIALS
-    if not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
-        issues.append(Violation("error", where, f"trials_per_config must be an integer >= 1 and <= {MAX_TRIALS}"))
-        trials = 1
+    trials = as_integer(trials, "trials_per_config", where, issues, at_least=1, at_most=MAX_TRIALS) or 1
     if not seeds:
         seeds = list(range(1, trials + 1))
     if len(seeds) < trials:
@@ -677,9 +672,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         sa_floor = as_number(sa_floor, "sa_floor", where, issues, at_least=0, at_most=100)
 
     budget = raw.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
-        issues.append(Violation("error", where, "budget must be an integer >= 0"))
-        budget = None
+    if budget is not None:
+        budget = as_integer(budget, "budget", where, issues, at_least=0)
 
     raw_weights = as_mapping(raw.get("weights"), "weights", where, issues)
     parts = {
@@ -693,10 +687,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         except ValueError as exc:  # every weight zero
             issues.append(Violation("error", where, f"bad weights: {exc}"))
 
-    jobs = raw.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
-        issues.append(Violation("error", where, "jobs must be an integer >= 1"))
-        jobs = 1
+    jobs = as_integer(raw.get("jobs", 1), "jobs", where, issues, at_least=1) or 1
 
     if issues:
         raise PlanError(issues)

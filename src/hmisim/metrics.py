@@ -39,14 +39,6 @@ TIMELINE_CSV_HEADER = [
     "time", "kind", "task", "cognitive_sum", "perceptual_sum", "awareness", "level", "road_max",
 ]
 
-#: Trace record tags beyond the calendar event kinds.
-RECORD_INIT = "init"
-RECORD_TASK_START = "task-start"
-RECORD_TASK_QUEUED = "task-queued"
-RECORD_TASK_ABORT = "task-abort"
-RECORD_MEMORY_UPDATE = "memory-update"
-RECORD_TRIAL_END = "trial-end"
-
 #: What ``json.dumps(..., ensure_ascii=False)`` builds per call, built once.
 _TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
@@ -144,7 +136,7 @@ def accrue_overload(
 
 
 class MetricsCollector:
-    """Accumulates indicators and, when ``trace`` is true, the trace.
+    """Accumulates the indicators and the trace records it is given.
 
     The collector reads the trial's state where the trial keeps it: the
     workload sums, demands and channel-conflict flag on ``attention``, the
@@ -153,21 +145,17 @@ class MetricsCollector:
     orchestrator calls :meth:`advance` with the event time before touching
     any state (integrating the signals that held since the last record),
     then applies its changes, then :meth:`record`s them.  The indicators
-    need only :meth:`advance` and the point accruals: with ``trace=False``,
-    :meth:`record` builds nothing and :attr:`records` stays empty.
+    need only :meth:`advance` and the point accruals: an untraced trial
+    never calls :meth:`record`, so it builds no payloads and no records,
+    and :attr:`records` stays empty.
     """
 
     def __init__(
-        self,
-        trial_length: float,
-        attention: AttentionState,
-        machine: AutomationStateMachine,
-        trace: bool = True,
+        self, trial_length: float, attention: AttentionState, machine: AutomationStateMachine
     ) -> None:
         self.trial_length = trial_length
         self.attention = attention
         self.machine = machine
-        self.trace = trace
         self.awareness = 1.0
         self.records: list[TraceRecord] = []
         self.counts: dict[str, TaskCounts] = {}
@@ -189,9 +177,7 @@ class MetricsCollector:
         self._sa_integral += self.awareness * dt
         self._last_time = now
 
-    def record(self, now: float, kind: str, payload: dict[str, Any]) -> TraceRecord | None:
-        if not self.trace:
-            return None
+    def record(self, now: float, kind: str, payload: dict[str, Any]) -> TraceRecord:
         rec = TraceRecord(
             time=now,
             kind=kind,

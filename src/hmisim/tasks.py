@@ -225,6 +225,32 @@ def as_number(
     return None
 
 
+def as_integer(
+    value: Any,
+    what: str,
+    where: str,
+    issues: list[Violation],
+    *,
+    at_least: int | None = None,
+    at_most: int | None = None,
+) -> int | None:
+    """An input value as an int within the bounds, or None after one located error.
+
+    An integer is an ``int`` but not a bool (YAML's ``true`` is no count).
+    """
+    if (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (at_least is None or value >= at_least)
+        and (at_most is None or value <= at_most)
+    ):
+        return value
+    bounds = ((">=", at_least), ("<=", at_most))
+    rule = " and ".join(f"{sign} {bound}" for sign, bound in bounds if bound is not None)
+    issues.append(Violation("error", where, f"{what} must be an integer {rule}".rstrip() + f", got {value!r}"))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 

@@ -5,8 +5,8 @@ kernel: the road timeline and take-over requests are scheduled up front,
 cognitive functions keep re-arming themselves, machine tasks are emitted
 by vehicle events, and every task request passes through attention
 admission.  Completing a task can refresh driver memory, fire a follow-up
-task, and operate the automation level.  All of it is recorded as a
-timeline trace and folded into the four trial indicators.
+task, and operate the automation level.  All of it is folded into the
+four trial indicators and, in a traced trial, recorded as a timeline trace.
 
 Within one completion the order is fixed: release and queue admissions,
 then the memory update, then the follow-up request, then the automation
@@ -18,24 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
+from typing import Any, Callable
+
+import numpy as np
 
 from . import driver as driver_mod
 from .attention import Aborted, AttentionState, Granted, Queued, TaskInstance
 from .engine import EventCalendar, EventKind, RandomStreams, SimEvent
-from .metrics import (
-    RECORD_INIT,
-    RECORD_MEMORY_UPDATE,
-    RECORD_TASK_ABORT,
-    RECORD_TASK_QUEUED,
-    RECORD_TASK_START,
-    RECORD_TRIAL_END,
-    MetricsCollector,
-    TraceRecord,
-    TrialMetrics,
-    eyes_off_contribution,
-)
-from .scenario import Scenario, cross_validate
-from .tasks import Configuration, ConfigurationError, Violation, validate
+from .metrics import MetricsCollector, TraceRecord, TrialMetrics, eyes_off_contribution
+from .scenario import ControlBinding, Scenario, cross_validate
+from .tasks import Configuration, ConfigurationError, Task, Violation, validate
 from .vehicle import (
     AutomationStateMachine,
     RoadSegment,
@@ -62,6 +54,40 @@ class _SpeedChange:
     value: float
 
 
+class _TaskRow:
+    """What the handlers need of one task, worked out once per trial.
+
+    ``queued`` and ``start`` hold the task's fixed fields of its
+    task-queued and task-start trace payloads, in trace key order.
+    """
+
+    __slots__ = ("task", "total_time", "eyes_off", "chain_source", "control", "queued", "start")
+
+    def __init__(self, task: Task, on_road: bool, control: ControlBinding | None) -> None:
+        self.task = task
+        self.total_time = total_time = task.total_time()
+        channel = task.perception_type.value
+        self.eyes_off = eyes_off_contribution(total_time, channel, on_road)  # per completion
+        self.chain_source = f"chain:{task.name}"  # request source of its follow-up
+        self.control = control
+        self.queued = {
+            "initiator": task.initiator.value,
+            "channel": channel,
+            "cognitive": task.cognitive_workload,
+            "perceptual": task.perceptual_workload,
+        }
+        self.start = {**self.queued, "location": task.location, "on_road": on_road, "total_time": total_time}
+
+
+@dataclass(frozen=True, slots=True)
+class _FunctionRow:
+    """A cognitive function with its random substream and request source."""
+
+    function: driver_mod.CognitiveFunction
+    stream: np.random.Generator
+    source: str
+
+
 def run_trial(
     config: Configuration,
     scenario: Scenario,
@@ -82,14 +108,20 @@ def run_trial(
 
 
 class _Trial:
+    """One trial; an untraced one builds no trace payload (each sits under ``if self.trace``)."""
+
     def __init__(
         self, config: Configuration, scenario: Scenario, seed: int, trial_length: float, trace: bool
     ) -> None:
-        self.config = config
         self.scenario = scenario
         self.seed = seed
         self.length = trial_length
-        self.tasks = config.task_map()
+        self.trace = trace
+        # Built per trial, never cached: local_search edits copies of a design.
+        self.rows = {
+            t.name: _TaskRow(t, config.elements[t.location].on_road, scenario.controls.get(t.name))
+            for t in config.tasks
+        }
         self.calendar = EventCalendar()
         self.streams = RandomStreams(seed)
         self._uids = count(1)
@@ -118,7 +150,7 @@ class _Trial:
                 self.memory.initialize(name, driver_mod.discretize(self.truth.get(name), param.resolution))
 
         self.attention = AttentionState()
-        self.collector = MetricsCollector(trial_length, self.attention, self.machine, trace)
+        self.collector = MetricsCollector(trial_length, self.attention, self.machine)
         self._update_awareness()
 
         # Everything time-driven is scheduled before the clock starts:
@@ -134,14 +166,11 @@ class _Trial:
         )
         change = scenario.speed.next_change(0.0)
         if change is not None and change[0] <= trial_length:
-            self.calendar.schedule(
-                change[0], EventKind.VEHICLE_TRANSITION, _SpeedChange(*change)
-            )
+            self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, _SpeedChange(*change))
         for function in scenario.cognitive_functions:
-            stream = self.streams.stream(f"cf:{function.name}")
-            self.calendar.schedule(
-                driver_mod.next_trigger(function, stream, 0.0), EventKind.TRIGGER, function
-            )
+            source = f"cf:{function.name}"
+            cf = _FunctionRow(function, self.streams.stream(source), source)
+            self.calendar.schedule(driver_mod.next_trigger(function, cf.stream, 0.0), EventKind.TRIGGER, cf)
 
     def _update_awareness(self) -> None:
         """Re-score awareness; called after every change to beliefs or ground truth."""
@@ -152,92 +181,80 @@ class _Trial:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> TrialResult:
-        self.collector.record(
-            0.0, RECORD_INIT, {"seed": self.seed, "trial_length": self.length}
-        )
+        if self.trace:
+            self.collector.record(0.0, "init", {"seed": self.seed, "trial_length": self.length})
         self.calendar.run_until(self.length, self._dispatch)
-        self._truncate_remaining()
+        if self.trace:
+            self._truncate_remaining()
         metrics = self.collector.finalize(self.seed)
         return TrialResult(metrics=metrics, records=self.collector.records)
 
     def _dispatch(self, event: SimEvent) -> None:
         now = event.time
         self.collector.advance(now)
-        if event.kind is EventKind.TRIGGER:
-            self._on_cognitive_trigger(event.payload, now)
-        elif event.kind is EventKind.TASK_END:
-            self._on_task_end(event.payload, now)
-        elif event.kind is EventKind.ROAD_CHANGE:
-            self._on_boundary(event.payload, now)
-        elif event.kind is EventKind.VEHICLE_TRANSITION:
-            if isinstance(event.payload, TorPayload):
-                self._on_tor(event.payload, now)
-            else:
-                self._on_speed_change(event.payload, now)
-        else:  # pragma: no cover - nothing else is put on the calendar
-            raise AssertionError(f"unexpected calendar event {event.kind}")
+        _HANDLERS[event.kind](self, event.payload, now)
 
     # -- handlers ------------------------------------------------------------------
 
-    def _on_cognitive_trigger(self, function: driver_mod.CognitiveFunction, now: float) -> None:
-        stream = self.streams.stream(f"cf:{function.name}")
-        next_at = driver_mod.next_trigger(function, stream, now)
+    def _on_cognitive_trigger(self, cf: _FunctionRow, now: float) -> None:
+        function = cf.function
+        next_at = driver_mod.next_trigger(function, cf.stream, now)
         if next_at <= self.length:
-            self.calendar.schedule(next_at, EventKind.TRIGGER, function)
+            self.calendar.schedule(next_at, EventKind.TRIGGER, cf)
         enabled = self.machine.state.level in function.enabled_levels
-        self.collector.record(
-            now,
-            EventKind.TRIGGER.value,
-            {"function": function.name, "task": function.target_task, "enabled": enabled},
-        )
+        if self.trace:
+            self.collector.record(
+                now,
+                "trigger",
+                {"function": function.name, "task": function.target_task, "enabled": enabled},
+            )
         if enabled:
-            self._request_task(function.target_task, now, source=f"cf:{function.name}")
+            self._request_task(function.target_task, now, cf.source)
 
     def _request_task(self, name: str, now: float, source: str) -> None:
-        task = self.tasks.get(name)
-        if task is None:
+        row = self.rows.get(name)
+        if row is None:
             # Bound/control names may legitimately be absent from a design.
             return
-        instance = TaskInstance(task=task, uid=next(self._uids), requested_at=now, source=source)
+        instance = TaskInstance(task=row.task, uid=next(self._uids), requested_at=now, source=source)
         counts = self.collector.count(name)
         counts.triggered += 1
         outcome = self.attention.request(instance, now)
         if isinstance(outcome, Granted):
-            self._start_instance(instance, now, source)
+            self._start_instance(row, instance, now, source)
         elif isinstance(outcome, Queued):
             counts.queued += 1
-            self.collector.record(
-                now,
-                RECORD_TASK_QUEUED,
-                {
-                    "task": name,
-                    "instance": instance.uid,
-                    "initiator": task.initiator.value,
-                    "channel": task.perception_type.value,
-                    "cognitive": task.cognitive_workload,
-                    "perceptual": task.perceptual_workload,
-                    "reason": outcome.reason.value,
-                    "position": outcome.position,
-                    "coalesced": outcome.coalesced,
-                    "source": source,
-                },
-            )
+            if self.trace:
+                self.collector.record(
+                    now,
+                    "task-queued",
+                    {
+                        "task": name,
+                        "instance": instance.uid,
+                        **row.queued,
+                        "reason": outcome.reason.value,
+                        "position": outcome.position,
+                        "coalesced": outcome.coalesced,
+                        "source": source,
+                    },
+                )
         else:
             assert isinstance(outcome, Aborted)
             counts.aborted += 1
-            self.collector.add_abort(outcome.reason, task.total_time())
-            self.collector.record(
-                now,
-                RECORD_TASK_ABORT,
-                {
-                    "task": name,
-                    "instance": instance.uid,
-                    "initiator": task.initiator.value,
-                    "reason": outcome.reason.value,
-                    "total_time": task.total_time(),
-                    "source": source,
-                },
-            )
+            self.collector.add_abort(outcome.reason, row.total_time)
+            if self.trace:
+                self.collector.record(
+                    now,
+                    "task-abort",
+                    {
+                        "task": name,
+                        "instance": instance.uid,
+                        "initiator": row.queued["initiator"],
+                        "reason": outcome.reason.value,
+                        "total_time": row.total_time,
+                        "source": source,
+                    },
+                )
 
     def _emit_bound(self, names: tuple[str, ...], now: float, source: str) -> None:
         """Emit the machine tasks bound to one vehicle event.
@@ -250,77 +267,65 @@ class _Trial:
         """
         chained: set[str] = set()
         for name in names:
-            task = self.tasks.get(name)
-            if task is not None and task.triggers is not None and task.triggers in names:
-                chained.add(task.triggers)
+            row = self.rows.get(name)
+            if row is not None and row.task.triggers is not None and row.task.triggers in names:
+                chained.add(row.task.triggers)
         for name in names:
             if name not in chained:
                 self._request_task(name, now, source)
 
-    def _start_instance(self, instance: TaskInstance, now: float, source: str) -> None:
-        task = instance.task
-        element = self.config.elements[task.location]
-        self.calendar.schedule(now + task.total_time(), EventKind.TASK_END, instance)
-        self.collector.record(
-            now,
-            RECORD_TASK_START,
-            {
-                "task": task.name,
-                "instance": instance.uid,
-                "initiator": task.initiator.value,
-                "channel": task.perception_type.value,
-                "cognitive": task.cognitive_workload,
-                "perceptual": task.perceptual_workload,
-                "location": task.location,
-                "on_road": element.on_road,
-                "total_time": task.total_time(),
-                "source": source,
-            },
-        )
+    def _start_instance(self, row: _TaskRow, instance: TaskInstance, now: float, source: str) -> None:
+        self.calendar.schedule(now + row.total_time, EventKind.TASK_END, instance)
+        if self.trace:
+            self.collector.record(
+                now,
+                "task-start",
+                {"task": row.task.name, "instance": instance.uid, **row.start, "source": source},
+            )
 
     def _on_task_end(self, instance: TaskInstance, now: float) -> None:
         task = instance.task
+        row = self.rows[task.name]
         admitted = self.attention.release(instance, now)
-        counts = self.collector.count(task.name)
-        counts.executed += 1
-        element = self.config.elements[task.location]
-        self.collector.add_eyes_off(
-            eyes_off_contribution(task.total_time(), task.perception_type.value, element.on_road)
-        )
-        self.collector.record(
-            now,
-            EventKind.TASK_END.value,
-            {
-                "task": task.name,
-                "instance": instance.uid,
-                "completed": True,
-                "started_at": instance.started_at,
-            },
-        )
+        self.collector.count(task.name).executed += 1
+        self.collector.add_eyes_off(row.eyes_off)
+        if self.trace:
+            self.collector.record(
+                now,
+                "task-end",
+                {
+                    "task": task.name,
+                    "instance": instance.uid,
+                    "completed": True,
+                    "started_at": instance.started_at,
+                },
+            )
         for waiting in admitted:
-            self._start_instance(waiting, now, source=f"dequeued:{waiting.source}")
+            self._start_instance(self.rows[waiting.task.name], waiting, now, f"dequeued:{waiting.source}")
+        previous = self.memory.beliefs.get(task.awareness_parameter)
         update = driver_mod.on_task_complete(
             self.memory, self.truth, task.awareness_parameter, self.scenario.awareness, now
         )
         if update is not None:
-            self._update_awareness()
-            self.collector.record(
-                now,
-                RECORD_MEMORY_UPDATE,
-                {
-                    "parameter": update.parameter,
-                    "value": update.value,
-                    "task": task.name,
-                    "instance": instance.uid,
-                },
-            )
+            if previous is None or update.value != previous.value:  # else awareness cannot change
+                self._update_awareness()
+            if self.trace:
+                self.collector.record(
+                    now,
+                    "memory-update",
+                    {
+                        "parameter": update.parameter,
+                        "value": update.value,
+                        "task": task.name,
+                        "instance": instance.uid,
+                    },
+                )
         if task.triggers is not None:
-            self._request_task(task.triggers, now, source=f"chain:{task.name}")
-        control = self.scenario.controls.get(task.name)
-        if control is not None:
-            self._apply_control(task.name, control, now)
+            self._request_task(task.triggers, now, row.chain_source)
+        if row.control is not None:
+            self._apply_control(task.name, row.control, now)
 
-    def _apply_control(self, task_name: str, control, now: float) -> None:
+    def _apply_control(self, task_name: str, control: ControlBinding, now: float) -> None:
         kind = (
             TransitionKind.DRIVER_SWITCH_UP
             if control.action == "switch_up"
@@ -328,19 +333,20 @@ class _Trial:
         )
         result = self.machine.transition(TransitionEvent(kind=kind, target=control.target), now)
         self._update_awareness()
-        self.collector.record(
-            now,
-            EventKind.VEHICLE_TRANSITION.value,
-            {
-                "change": "level",
-                "cause": f"control:{task_name}",
-                "action": control.action,
-                "granted": result.granted,
-                "previous": result.previous_level,
-                "level": result.level,
-                "note": result.note,
-            },
-        )
+        if self.trace:
+            self.collector.record(
+                now,
+                "vehicle-transition",
+                {
+                    "change": "level",
+                    "cause": f"control:{task_name}",
+                    "action": control.action,
+                    "granted": result.granted,
+                    "previous": result.previous_level,
+                    "level": result.level,
+                    "note": result.note,
+                },
+            )
         self._emit_bound(result.emitted, now, source="binding:level_change")
 
     def _on_boundary(self, segment: RoadSegment, now: float) -> None:
@@ -348,60 +354,58 @@ class _Trial:
         previous_level = self.machine.state.level
         result = self.machine.on_boundary(segment, now)
         self._update_awareness()
-        self.collector.record(
-            now,
-            EventKind.ROAD_CHANGE.value,
-            {"max_level": segment.max_level, "previous_max": previous_max},
-        )
-        if result.level_changed:
+        if self.trace:
             self.collector.record(
-                now,
-                EventKind.VEHICLE_TRANSITION.value,
-                {
-                    "change": "level",
-                    "cause": "availability-drop",
-                    "granted": True,
-                    "previous": previous_level,
-                    "level": result.level,
-                    "note": result.note,
-                },
+                now, "road-change", {"max_level": segment.max_level, "previous_max": previous_max}
             )
+            if result.level_changed:
+                self.collector.record(
+                    now,
+                    "vehicle-transition",
+                    {
+                        "change": "level",
+                        "cause": "availability-drop",
+                        "granted": True,
+                        "previous": previous_level,
+                        "level": result.level,
+                        "note": result.note,
+                    },
+                )
         self._emit_bound(result.emitted, now, source="binding:availability")
 
     def _on_tor(self, payload: TorPayload, now: float) -> None:
         active, emitted = self.machine.on_tor(payload, now)
-        self.collector.record(
-            now,
-            EventKind.VEHICLE_TRANSITION.value,
-            {
-                "change": "tor",
-                "phase": payload.phase.value,
-                "boundary": payload.boundary,
-                "segment_start": payload.segment_start,
-                "emitted": active,
-            },
-        )
+        if self.trace:
+            self.collector.record(
+                now,
+                "vehicle-transition",
+                {
+                    "change": "tor",
+                    "phase": payload.phase.value,
+                    "boundary": payload.boundary,
+                    "segment_start": payload.segment_start,
+                    "emitted": active,
+                },
+            )
         if active:
             self._emit_bound(emitted, now, source=f"binding:{payload.phase.value}")
 
     def _on_speed_change(self, change: _SpeedChange, now: float) -> None:
         self.machine.set_speed(change.value)
         self._update_awareness()
-        self.collector.record(
-            now,
-            EventKind.VEHICLE_TRANSITION.value,
-            {"change": "speed", "speed": change.value},
-        )
+        if self.trace:
+            self.collector.record(now, "vehicle-transition", {"change": "speed", "speed": change.value})
         nxt = self.scenario.speed.next_change(now)
         if nxt is not None and nxt[0] <= self.length:
-            self.calendar.schedule(nxt[0], EventKind.VEHICLE_TRANSITION, _SpeedChange(*nxt))
+            self.calendar.schedule(nxt[0], EventKind.SPEED_CHANGE, _SpeedChange(*nxt))
 
     def _truncate_remaining(self) -> None:
-        """Balance the books at the trial horizon.
+        """Record the books balanced at the trial horizon (traced trials only).
 
         Instances still active at the end are released without queue
         admission and recorded as uncompleted ends; they contribute no
-        eyes-off time, no memory updates, and no follow-ups.
+        eyes-off time, no memory updates, and no follow-ups.  The
+        indicators are integrated to the horizon before any release.
         """
         self.collector.advance(self.length)
         active = self.attention.active_instances()
@@ -410,7 +414,7 @@ class _Trial:
             self.attention.release(instance, self.length, admit=False)
             self.collector.record(
                 self.length,
-                EventKind.TASK_END.value,
+                "task-end",
                 {
                     "task": instance.task.name,
                     "instance": instance.uid,
@@ -420,12 +424,21 @@ class _Trial:
             )
         self.collector.record(
             self.length,
-            RECORD_TRIAL_END,
-            {
-                "truncated": [i.task.name for i in active],
-                "still_queued": leftover_queue,
-            },
+            "trial-end",
+            {"truncated": [i.task.name for i in active], "still_queued": leftover_queue},
         )
+
+
+#: The handler of each calendar event kind, called as ``handler(trial, payload, now)``.
+#: Plain functions, not bound methods kept on the trial: those would form a
+#: reference cycle that keeps a finished trial and its trace alive until a cyclic GC.
+_HANDLERS: dict[EventKind, Callable[[_Trial, Any, float], None]] = {
+    EventKind.TRIGGER: _Trial._on_cognitive_trigger,
+    EventKind.TASK_END: _Trial._on_task_end,
+    EventKind.ROAD_CHANGE: _Trial._on_boundary,
+    EventKind.TOR: _Trial._on_tor,
+    EventKind.SPEED_CHANGE: _Trial._on_speed_change,
+}
 
 
 def _clip_timeline(timeline, trial_length: float):

@@ -160,7 +160,7 @@ def schedule_tor(
                 events.append(
                     calendar.schedule(
                         at,
-                        EventKind.VEHICLE_TRANSITION,
+                        EventKind.TOR,
                         TorPayload(phase=phase, boundary=boundary, segment_start=seg.start),
                     )
                 )

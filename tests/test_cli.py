@@ -568,6 +568,24 @@ def test_wrong_shape_plan_configurations_is_one_located_error(tmp_path, capsys):
     assert error.endswith(f"{plan}: configurations must be a list, got 5")
 
 
+def test_one_configuration_plan_is_a_plan_error_for_compare(tmp_path, capsys):
+    text = (PKG_DATA / "demo_plan.yaml").read_text().replace("demo_", str(PKG_DATA / "demo_"))
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(text[: text.index("  - name: optimized")])
+    error = compare_error(["--plan", str(plan), "--out", str(tmp_path / "out")], capsys)
+    assert error == f"error: {plan}: compare needs a plan with at least two configurations"
+
+
+@pytest.mark.parametrize("command", ["compare", "optimize"])
+@pytest.mark.parametrize("trials", ["0", "-1", pytest.param("1" + "0" * 400, id="huge"), "100001"])
+def test_trials_outside_its_range_is_one_located_error(tmp_path, capsys, command, trials):
+    argv = [command, "--plan", str(PKG_DATA / "demo_plan.yaml"), "--trials", trials, "--length", "100"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    error = one_error(capsys.readouterr().err)
+    assert error == f"error: trials: --trials must be an integer >= 1 and <= 100000, got {trials}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_worker_error_reads_the_same_at_any_jobs(tmp_path, capsys):
     # The scripted timeline covers 100 s, so each trial fails its validation in the worker.
     argv = [

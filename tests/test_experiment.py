@@ -539,9 +539,14 @@ def test_plan_trials_can_use_seed_prefix(tmp_path):
     ("extra", "fragment"),
     [
         ("master_seeds: [1]\ntrials_per_config: 5\n", "only 1 master seeds"),
-        ("master_seeds: [1, two]\n", "not an integer"),
+        ("master_seeds: [1, two]\n", "master seed must be an integer, got 'two'"),
+        ("master_seeds: [1, true]\n", "master seed must be an integer, got True"),
         ("master_seeds: 7\n", "list or {first, count}"),
-        ("master_seeds: {first: 1, count: 0}\n", "count >= 1"),
+        ("master_seeds: {first: 1, count: 0}\n", "master_seeds count must be an integer >= 1 and <= 100000, got 0"),
+        ("master_seeds: {first: 1, count: true}\n", "master_seeds count must be an integer >= 1 and <= 100000, got True"),
+        ("master_seeds: {first: false, count: 3}\n", "master_seeds first must be an integer, got False"),
+        ("trials_per_config: true\n", "trials_per_config must be an integer >= 1 and <= 100000, got True"),
+        ("trials_per_config: 0\n", "trials_per_config must be an integer >= 1 and <= 100000, got 0"),
         ("trial_length: -1\n", "trial_length must be > 0"),
         ("trial_length: .inf\n", "trial_length must be > 0 and finite, got inf"),
         ("trial_length: .nan\n", "trial_length must be > 0 and finite, got nan"),
@@ -549,14 +554,17 @@ def test_plan_trials_can_use_seed_prefix(tmp_path):
         ("trial_length: true\n", "trial_length must be a number, got True"),
         ("sa_floor: 140\n", "sa_floor must be >= 0 and <= 100 and finite, got 140"),
         ("sa_floor: true\n", "sa_floor must be a number, got True"),
-        ("budget: -3\n", "budget must be an integer >= 0"),
+        ("budget: -3\n", "budget must be an integer >= 0, got -3"),
+        ("budget: true\n", "budget must be an integer >= 0, got True"),
+        ("budget: 2.5\n", "budget must be an integer >= 0, got 2.5"),
         ("weights: {cognitive: -1}\n", "cognitive weight must be >= 0 and finite, got -1"),
         ("weights: {eyes_off: .nan}\n", "eyes_off weight must be >= 0 and finite, got nan"),
         pytest.param(
             f"weights: {{perceptual: {HUGE}}}\n", f"perceptual weight must be a number, got {HUGE}", id="huge weight"
         ),
         ("weights: {cognitive: 0, perceptual: 0, eyes_off: 0}\n", "bad weights: at least one objective weight must be > 0"),
-        ("jobs: 0\n", "jobs must be an integer >= 1"),
+        ("jobs: 0\n", "jobs must be an integer >= 1, got 0"),
+        ("jobs: true\n", "jobs must be an integer >= 1, got True"),
     ],
 )
 def test_plan_rejects_bad_values(tmp_path, capsys, extra, fragment):

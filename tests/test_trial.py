@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import gc
 import textwrap
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hmisim import trial as trial_mod
+from hmisim.metrics import MetricsCollector, eyes_off_contribution
 from hmisim.replay import check_safety_rules, check_tor_lead_times, replay_metrics
 from hmisim.scenario import load_scenario
 from hmisim.tasks import ConfigurationError, copy_configuration
@@ -140,6 +146,70 @@ def test_untraced_trial_has_the_traced_metrics(request, inputs, seed, length):
     assert untraced.metrics == traced.metrics
     # repr tells apart every float bit pattern that == lets through (-0.0).
     assert repr(untraced.metrics) == repr(traced.metrics)
+
+
+@pytest.mark.parametrize(("inputs", "length"), [("demo", 12_000.0), ("scripted", 100.0)])
+def test_untraced_trial_never_records(request, monkeypatch, inputs, length):
+    def record(*args, **kwargs):
+        raise AssertionError("an untraced trial called MetricsCollector.record")
+
+    monkeypatch.setattr(MetricsCollector, "record", record)
+    config = request.getfixturevalue(f"{inputs}_config")
+    scenario = request.getfixturevalue(f"{inputs}_scenario")
+    assert run_trial(config, scenario, 1, length, trace=False).records == []
+
+
+def test_finished_trial_is_freed_without_the_cyclic_gc(monkeypatch, demo_config, demo_scenario):
+    # A reference cycle through the trial (say, bound handlers kept on it)
+    # would keep its collector, and with it the whole trace, alive until a
+    # gen-2 collection.
+    collectors = []
+
+    class Collector(MetricsCollector):
+        def __init__(self, *args):
+            super().__init__(*args)
+            collectors.append(weakref.ref(self))
+
+    monkeypatch.setattr(trial_mod, "MetricsCollector", Collector)
+    gc.disable()
+    try:
+        result = run_trial(demo_config, demo_scenario, seed=1, trial_length=2000.0)
+        assert result.records
+        del result
+        assert [ref() for ref in collectors] == [None]
+    finally:
+        gc.enable()
+
+
+def _moved_and_retimed(config):
+    """The design with check_speed moved to the head-up display and check_navigation retimed."""
+    variant = copy_configuration(config)
+    tasks = variant.task_map()
+    tasks["check_speed"].location = "head_up_display"
+    tasks["check_speed"].gaze_time = variant.elements["head_up_display"].gaze_time
+    tasks["check_navigation"].duration = 3.5
+    return variant
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), length=st.floats(50.0, 12_000.0), variant=st.booleans())
+def test_traced_and_untraced_trials_agree(demo_config, demo_scenario, seed, length, variant):
+    config = _moved_and_retimed(demo_config) if variant else demo_config
+    traced = run_trial(config, demo_scenario, seed, length)
+    untraced = run_trial(config, demo_scenario, seed, length, trace=False)
+    assert repr(untraced.metrics) == repr(traced.metrics)
+    # The per-trial task table must describe this design, not an earlier one.
+    tasks = config.task_map()
+    eyes_off = 0.0
+    for r in traced.records:
+        task = tasks.get(r.payload.get("task"))
+        if r.kind == "task-start":
+            assert r.payload["location"] == task.location
+            assert r.payload["total_time"] == task.total_time()
+        elif r.kind == "task-end" and r.payload["completed"]:
+            on_road = config.elements[task.location].on_road
+            eyes_off += eyes_off_contribution(task.total_time(), task.perception_type.value, on_road)
+    assert untraced.metrics.eyes_off_seconds == eyes_off
 
 
 def test_different_seeds_differ(demo_config, demo_scenario):
