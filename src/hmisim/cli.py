@@ -51,6 +51,7 @@ from .tasks import (
     ConfigurationError,
     Violation,
     as_integer,
+    as_number,
     load_configuration,
     read_input,
     write_tasks_csv,
@@ -270,6 +271,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     sa_floor = args.sa_floor if args.sa_floor is not None else (plan.sa_floor if plan else None)
     if sa_floor is None:
         raise UsageError("optimize needs --sa-floor (there is no endorsed default)")
+    if args.sa_floor is not None:  # a plan's floor is checked by load_plan
+        issues: list[Violation] = []
+        if as_number(args.sa_floor, "--sa-floor", "optimize", issues, at_least=0, at_most=100) is None:
+            raise UsageError(issues[0].message)
     budget = args.budget if args.budget is not None else (plan.budget if plan else None)
     if budget is None:
         raise UsageError("optimize needs --budget (candidate evaluation limit)")

@@ -24,6 +24,7 @@ a single simulation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
@@ -69,11 +70,22 @@ def _run_star(args: tuple[Configuration, Scenario, int, float]) -> TrialMetrics:
     return run_metrics(*args)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _pool(jobs: int, seeds: list[int]) -> AbstractContextManager[Executor | None]:
-    """The worker pool for batches over ``seeds``; ``None`` runs them in-process."""
+    """The worker pool for batches over ``seeds``; ``None`` runs them in-process.
+
+    A pool starts all its workers at its first task, so it gets no more
+    than there are usable cores: more could only queue for them.
+    """
     if jobs <= 1 or len(seeds) <= 1:
         return nullcontext()
-    return ProcessPoolExecutor(max_workers=min(jobs, len(seeds)))
+    return ProcessPoolExecutor(max_workers=min(jobs, len(seeds), _usable_cores()))
 
 
 def run_many(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -89,50 +89,17 @@ class TraceRecord:
         return _TRACE_ENCODER.encode(vars(self))
 
 
+#: The trace keys, in the order ``to_json`` writes them.
+_TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
+#: About how many bytes of trace text ``read_trace`` decodes per ``json.loads``.
+_TRACE_CHUNK_HINT = 256 * 1024
+
+
 def eyes_off_contribution(total_time: float, perception_type: str, on_road: bool) -> float:
     """Seconds of eyes-off-road one completed task execution adds."""
     if perception_type != "visual" or on_road:
         return 0.0
     return total_time
-
-
-@dataclass(frozen=True)
-class OverloadSample:
-    """Demand state holding from ``time`` until the next sample."""
-
-    time: float
-    cognitive_demand: float
-    perceptual_demand: float
-    channel_conflict_queued: bool
-
-
-def accrue_overload(
-    samples: Iterable[OverloadSample],
-    abort_events: Iterable[tuple[AbortReason, float]],
-    t_end: float,
-) -> tuple[float, float]:
-    """Integrate overload seconds from piecewise-constant demand samples.
-
-    ``abort_events`` are (reason, occupancy seconds) point contributions
-    from machine aborts: cognitive-cap aborts add to the cognitive total,
-    perceptual-cap and channel-conflict aborts to the perceptual total.
-    """
-    cognitive = 0.0
-    perceptual = 0.0
-    ordered = list(samples)
-    for current, nxt in zip(ordered, ordered[1:] + [None]):
-        until = t_end if nxt is None else min(nxt.time, t_end)
-        dt = max(until - current.time, 0.0)
-        if current.cognitive_demand > CAPACITY + CAP_TOLERANCE:
-            cognitive += dt
-        if current.perceptual_demand > CAPACITY + CAP_TOLERANCE or current.channel_conflict_queued:
-            perceptual += dt
-    for reason, seconds in abort_events:
-        if reason is AbortReason.COGNITIVE:
-            cognitive += seconds
-        else:  # perceptual cap and channel conflicts are perceptual contention
-            perceptual += seconds
-    return cognitive, perceptual
 
 
 class MetricsCollector:
@@ -269,9 +236,33 @@ def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    """Parse a trace; a line with a missing or unknown key raises TypeError."""
+    """Parse a trace, skipping blank lines.
+
+    A line with a missing or unknown key raises TypeError; a line that is
+    not one JSON value raises json.JSONDecodeError.  The lines are decoded
+    a chunk at a time, as one JSON array; a chunk that does not decode to
+    one value per line is parsed again line by line, so the first bad
+    line raises, as it would on its own.
+    """
+    records: list[TraceRecord] = []
     with open(path, encoding="utf-8") as handle:
-        return [TraceRecord(**json.loads(line)) for line in handle if line.strip()]
+        while chunk := handle.readlines(_TRACE_CHUNK_HINT):
+            lines = [line for line in chunk if line.strip()]
+            try:
+                rows = json.loads("[" + ",".join(lines) + "]")
+            except json.JSONDecodeError:
+                rows = None
+            if rows is None or len(rows) != len(lines):
+                records += [_trace_record(json.loads(line)) for line in lines]
+            else:
+                records += map(_trace_record, rows)
+    return records
+
+
+def _trace_record(row: Any) -> TraceRecord:
+    if type(row) is dict and tuple(row) == _TRACE_FIELDS:
+        return TraceRecord(*row.values())
+    return TraceRecord(**row)  # a missing or unknown key raises TypeError
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:

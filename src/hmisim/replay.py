@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason
-from .metrics import OverloadSample, TraceRecord, accrue_overload, eyes_off_contribution
+from .metrics import TraceRecord, eyes_off_contribution
 
 
 @dataclass
@@ -47,34 +47,36 @@ class ReplayReport:
 
 
 def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedMetrics:
-    """Second, trace-only computation of the four indicators."""
+    """Second, trace-only computation of the four indicators, in one pass.
+
+    The demand (active plus queued workload, and whether a queued task
+    waits for a busy channel) changes only at a task-start, a
+    non-coalesced task-queued or a task-end, so only those records
+    recompute it.  Every record closes the stretch since the one before,
+    so overload accrues one term per record, then one per machine abort.
+    """
     active: dict[int, _TrackedTask] = {}
     queued: dict[int, _TrackedTask] = {}
-    samples: list[OverloadSample] = []
     aborts: list[tuple[AbortReason, float]] = []
-    eyes_off = 0.0
-    sa_integral = 0.0
+    eyes_off = cognitive = perceptual = sa_integral = 0.0
     last_time = 0.0
     last_awareness = records[0].awareness if records else 1.0
-
-    def sample(now: float) -> OverloadSample:
-        active_cog = math.fsum(t.cognitive for t in active.values())
-        active_perc = math.fsum(t.perceptual for t in active.values())
-        busy = {t.channel for t in active.values()}
-        conflict = any(w.channel in busy for w in queued.values())
-        return OverloadSample(
-            time=now,
-            cognitive_demand=active_cog + math.fsum(t.cognitive for t in queued.values()),
-            perceptual_demand=active_perc + math.fsum(t.perceptual for t in queued.values()),
-            channel_conflict_queued=conflict,
-        )
-
+    # overload of the demand holding since the previous record (none before the first)
+    cognitive_over = perceptual_over = False
     for record in records:
-        sa_integral += last_awareness * (record.time - last_time)
-        last_time = record.time
+        now = record.time
+        sa_integral += last_awareness * (now - last_time)
+        if cognitive_over or perceptual_over:
+            dt = max(min(now, trial_length) - last_time, 0.0)
+            if cognitive_over:
+                cognitive += dt
+            if perceptual_over:
+                perceptual += dt
+        last_time = now
         last_awareness = record.awareness
+        kind = record.kind
         payload = record.payload
-        if record.kind == "task-start":
+        if kind == "task-start":
             uid = payload["instance"]
             queued.pop(uid, None)
             active[uid] = _TrackedTask(
@@ -85,27 +87,47 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
                 on_road=payload["on_road"],
                 total_time=payload["total_time"],
             )
-        elif record.kind == "task-queued":
-            if not payload["coalesced"]:
-                queued[payload["instance"]] = _TrackedTask(
-                    task=payload["task"],
-                    channel=payload["channel"],
-                    cognitive=payload["cognitive"],
-                    perceptual=payload["perceptual"],
-                )
-        elif record.kind == "task-end":
+        elif kind == "task-queued" and not payload["coalesced"]:
+            queued[payload["instance"]] = _TrackedTask(
+                task=payload["task"],
+                channel=payload["channel"],
+                cognitive=payload["cognitive"],
+                perceptual=payload["perceptual"],
+            )
+        elif kind == "task-end":
             entry = active.pop(payload["instance"], None)
             if entry is not None and payload["completed"]:
                 eyes_off += eyes_off_contribution(entry.total_time, entry.channel, entry.on_road)
-        elif record.kind == "task-abort":
-            aborts.append((AbortReason(payload["reason"]), payload["total_time"]))
-        samples.append(sample(record.time))
+        else:
+            if kind == "task-abort":
+                aborts.append((AbortReason(payload["reason"]), payload["total_time"]))
+            continue
+        busy = {t.channel for t in active.values()}
+        cognitive_over = (
+            math.fsum(t.cognitive for t in active.values()) + math.fsum(t.cognitive for t in queued.values())
+            > CAPACITY + CAP_TOLERANCE
+        )
+        perceptual_over = (
+            math.fsum(t.perceptual for t in active.values()) + math.fsum(t.perceptual for t in queued.values())
+            > CAPACITY + CAP_TOLERANCE
+            or any(w.channel in busy for w in queued.values())
+        )
+    if cognitive_over or perceptual_over:
+        dt = max(trial_length - last_time, 0.0)
+        if cognitive_over:
+            cognitive += dt
+        if perceptual_over:
+            perceptual += dt
     sa_integral += last_awareness * (trial_length - last_time)
-    cog_seconds, perc_seconds = accrue_overload(samples, aborts, trial_length)
+    for reason, seconds in aborts:
+        if reason is AbortReason.COGNITIVE:
+            cognitive += seconds
+        else:  # perceptual cap and channel conflicts are perceptual contention
+            perceptual += seconds
     return ReplayedMetrics(
         eyes_off_seconds=eyes_off,
-        cognitive_overload_seconds=cog_seconds,
-        perceptual_overload_seconds=perc_seconds,
+        cognitive_overload_seconds=cognitive,
+        perceptual_overload_seconds=perceptual,
         sa_integral=sa_integral,
     )
 

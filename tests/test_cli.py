@@ -686,15 +686,31 @@ def test_optimize_bad_weights(capsys, tmp_path, weights, message):
     assert message in capsys.readouterr().err
 
 
-def test_optimize_bad_floor_is_runtime_error(capsys, tmp_path):
+@pytest.mark.parametrize(
+    ("floor", "shown"),
+    [("150", "150.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")],
+)
+def test_optimize_bad_floor_is_usage_error(capsys, tmp_path, floor, shown):
     code = main([
         "optimize", *SCRIPTED, *SCRIPTED_SCENARIO,
-        "--sa-floor", "150", "--budget", "1",
+        f"--sa-floor={floor}", "--budget", "1",
         "--seed", "1", "--trials", "1", "--length", "100",
         "--out", str(tmp_path),
     ])
     assert code == 2
-    assert "error: ValueError" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: --sa-floor must be >= 0 and <= 100 and finite, got {shown}"
+    ]
+    assert not (tmp_path / "moves.log").exists()
+
+
+@pytest.mark.parametrize("floor", ["0", "100"])
+def test_optimize_floor_bounds_are_inclusive(capsys, tmp_path, floor):
+    code = main([
+        "optimize", *SCRIPTED, *SCRIPTED_SCENARIO,
+        "--sa-floor", floor, "--budget", "0", "--out", str(tmp_path),
+    ])
+    assert code == 0, capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

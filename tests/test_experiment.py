@@ -106,6 +106,7 @@ def pools(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiment, "_usable_cores", lambda: 4)  # the counts hold on any machine
     return started
 
 
@@ -135,6 +136,41 @@ def test_no_pool_for_one_job_one_seed_or_no_budget(pools, demo_config, demo_scen
     local_search(demo_config, demo_scenario, [1, 2], 500.0, sa_floor=0.0, budget=0, jobs=2)
     local_search(demo_config, demo_scenario, [1], 500.0, sa_floor=0.0, budget=1, jobs=2)
     assert pools == []
+
+
+def test_pool_workers_are_capped_at_the_usable_cores(monkeypatch, demo_config, demo_scenario):
+    """Asking for thousands of jobs starts no more workers than there are cores.
+
+    A recording stand-in replaces the pool and runs the batch in-process,
+    so the test starts no process at all.
+    """
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "_usable_cores", lambda: 3)
+    seeds = [1, 2, 3, 4, 5]
+    sequential = run_many(demo_config, demo_scenario, seeds, 300.0, jobs=1)
+    assert run_many(demo_config, demo_scenario, seeds, 300.0, jobs=5000) == sequential
+    assert run_many(demo_config, demo_scenario, seeds[:2], 300.0, jobs=5000) == sequential[:2]
+    local_search(demo_config, demo_scenario, seeds, 300.0, sa_floor=0.0, budget=1, jobs=5000)
+    assert started == [3, 2, 3]
+
+
+def test_usable_cores_is_at_least_one():
+    assert experiment._usable_cores() >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from hmisim import metrics
 from hmisim.attention import AbortReason
 from hmisim.metrics import (
     COUNTS_CSV_HEADER,
@@ -15,11 +16,9 @@ from hmisim.metrics import (
     TIMELINE_CSV_HEADER,
     AggregateSummary,
     MetricsCollector,
-    OverloadSample,
     TaskCounts,
     TraceRecord,
     TrialMetrics,
-    accrue_overload,
     aggregate,
     eyes_off_contribution,
     median_low,
@@ -67,41 +66,6 @@ def test_median_low_empty_raises():
 )
 def test_eyes_off_contribution(total, channel, on_road, expected):
     assert eyes_off_contribution(total, channel, on_road) == expected
-
-
-def test_accrue_overload_piecewise():
-    samples = [
-        OverloadSample(0.0, 5.0, 5.0, False),
-        OverloadSample(10.0, 11.0, 5.0, False),  # cognitive over for 5 s
-        OverloadSample(15.0, 5.0, 10.5, False),  # perceptual over for 5 s
-        OverloadSample(20.0, 5.0, 5.0, True),  # channel contention for 10 s
-        OverloadSample(30.0, 5.0, 5.0, False),
-    ]
-    cog, perc = accrue_overload(samples, [], t_end=40.0)
-    assert cog == pytest.approx(5.0)
-    assert perc == pytest.approx(15.0)
-
-
-def test_accrue_overload_final_sample_runs_to_end():
-    samples = [OverloadSample(0.0, 12.0, 12.0, False)]
-    cog, perc = accrue_overload(samples, [], t_end=7.5)
-    assert cog == perc == pytest.approx(7.5)
-
-
-def test_accrue_overload_abort_contributions():
-    aborts = [
-        (AbortReason.COGNITIVE, 1.5),
-        (AbortReason.PERCEPTUAL, 2.0),
-        (AbortReason.CHANNEL, 0.5),  # channel conflicts count as perceptual
-    ]
-    cog, perc = accrue_overload([OverloadSample(0.0, 0.0, 0.0, False)], aborts, t_end=1.0)
-    assert cog == pytest.approx(1.5)
-    assert perc == pytest.approx(2.5)
-
-
-def test_accrue_overload_exact_capacity_is_not_overload():
-    samples = [OverloadSample(0.0, 10.0, 10.0, False)]
-    assert accrue_overload(samples, [], t_end=5.0) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +249,67 @@ def test_read_trace_rejects_missing_or_unknown_key(tmp_path, edit):
     path = tmp_path / "trace.jsonl"
     path.write_text(json.dumps(raw) + "\n")
     with pytest.raises(TypeError):
+        read_trace(path)
+
+
+def long_trace(count):
+    """``count`` records, with assorted blank lines between them."""
+    records = [make_record(time=float(i), payload={"task": f"t{i}", "n": i}) for i in range(count)]
+    lines = []
+    for i, record in enumerate(records):
+        lines.append(record.to_json() + "\n")
+        if i % 7 == 0:
+            lines.append(["\n", "   \n", "\t\n"][i % 3])
+    return records, lines
+
+
+def test_read_trace_round_trips_a_trace_longer_than_one_chunk(tmp_path):
+    records, lines = long_trace(6000)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert path.stat().st_size > 2 * metrics._TRACE_CHUNK_HINT
+    assert read_trace(path) == records
+
+
+def test_read_trace_round_trips_non_ascii(tmp_path):
+    records = [make_record(payload={"task": "Blinker prüfen ✓ 速度", "source": "cf:élan"})]
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    assert "速度" in path.read_text(encoding="utf-8")
+    assert read_trace(path) == records
+
+
+BAD_LINES = {
+    "missing": (lambda raw: json.dumps({k: v for k, v in raw.items() if k != "level"}), TypeError),
+    "unknown": (lambda raw: json.dumps({**raw, "extra": 1}), TypeError),
+    "not-an-object": (lambda raw: json.dumps(list(raw)), TypeError),
+    "malformed": (lambda raw: json.dumps(raw)[:-9], json.JSONDecodeError),
+    "two-objects": (lambda raw: json.dumps(raw) + ", " + json.dumps(raw), json.JSONDecodeError),
+}
+
+
+@pytest.mark.parametrize(("bad", "error"), BAD_LINES.values(), ids=list(BAD_LINES))
+def test_read_trace_rejects_a_bad_line_in_a_later_chunk(tmp_path, monkeypatch, bad, error):
+    monkeypatch.setattr(metrics, "_TRACE_CHUNK_HINT", 4096)
+    _, lines = long_trace(300)
+    lines.insert(250, bad(json.loads(make_record().to_json())) + "\n")
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(error):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    ("first", "error"), [("missing", TypeError), ("malformed", json.JSONDecodeError)]
+)
+def test_read_trace_raises_for_the_first_bad_line(tmp_path, first, error):
+    order = ["missing", "malformed"] if first == "missing" else ["malformed", "missing"]
+    _, lines = long_trace(20)
+    for at, name in zip((5, 10), order):
+        lines.insert(at, BAD_LINES[name][0](json.loads(make_record().to_json())) + "\n")
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(error):
         read_trace(path)
 
 

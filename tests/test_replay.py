@@ -1,0 +1,113 @@
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from hmisim.metrics import TraceRecord, read_trace, write_trace
+from hmisim.replay import ReplayedMetrics, replay_metrics
+from hmisim.trial import run_trial
+
+# ---------------------------------------------------------------------------
+# bit pins: the exact repr of every replayed field.  Adding the same
+# terms in another order can move the last digits (adding each machine
+# abort where its record falls, not after the stretches, does here).
+
+
+REPLAY_PINS = {
+    ("demo", 1, 12000.0): ("2690.20000000001", "129.8160297504439", "352.2983570601706", "10096.088410122931"),
+    ("demo", 2, 12000.0): ("2767.600000000013", "127.87065946420498", "335.84755740727496", "10469.843583687758"),
+    ("demo", 3, 12000.0): ("2718.400000000015", "120.41903358150165", "379.9601527793707", "10264.727859855113"),
+    ("scripted", 1, 100.0): ("5.6", "0.0", "0.0", "81.0"),
+}
+
+
+@pytest.mark.parametrize(("design", "seed", "length"), list(REPLAY_PINS))
+def test_replay_bits_are_pinned(
+    tmp_path, design, seed, length, demo_config, demo_scenario, scripted_config, scripted_scenario
+):
+    designs = {"demo": (demo_config, demo_scenario), "scripted": (scripted_config, scripted_scenario)}
+    records = run_trial(*designs[design], seed, length).records
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    assert read_trace(path) == records
+    replayed = replay_metrics(records, length)
+    fields = tuple(repr(getattr(replayed, f.name)) for f in dataclasses.fields(ReplayedMetrics))
+    assert fields == REPLAY_PINS[design, seed, length]
+
+
+# ---------------------------------------------------------------------------
+# overload accrual on hand-built traces
+
+
+def rec(time, kind, awareness=1.0, **payload):
+    return TraceRecord(time, kind, payload, 0.0, 0.0, awareness, 0, 0)
+
+
+def start(time, instance, channel, cognitive, perceptual, total_time=1.0):
+    return rec(
+        time, "task-start", instance=instance, task=f"t{instance}", channel=channel,
+        cognitive=cognitive, perceptual=perceptual, on_road=False, total_time=total_time,
+    )
+
+
+def end(time, instance, completed=True):
+    return rec(time, "task-end", instance=instance, completed=completed)
+
+
+def test_replay_overload_is_piecewise():
+    records = [
+        start(0.0, 1, "auditory-vocal", 5.0, 5.0),
+        start(10.0, 2, "psychomotor", 6.0, 0.0),  # cognitive over for 5 s
+        rec(12.0, "trigger", function="f"),  # no demand change: the stretch carries on
+        end(15.0, 2),
+        start(15.0, 3, "visual", 0.0, 5.5, total_time=5.0),  # perceptual over for 5 s
+        end(20.0, 3),
+        rec(  # channel contention for 10 s
+            20.0, "task-queued", instance=4, task="t4", channel="auditory-vocal",
+            cognitive=0.0, perceptual=0.0, coalesced=False,
+        ),
+        rec(  # a coalesced trigger joins the waiting instance: no new demand
+            25.0, "task-queued", instance=5, task="t4", channel="auditory-vocal",
+            cognitive=9.0, perceptual=9.0, coalesced=True,
+        ),
+        end(30.0, 1),
+        start(30.0, 4, "auditory-vocal", 0.0, 0.0),
+    ]
+    replayed = replay_metrics(records, 40.0)
+    assert replayed.cognitive_overload_seconds == 5.0
+    assert replayed.perceptual_overload_seconds == 15.0
+    assert replayed.eyes_off_seconds == 5.0  # task 3: visual, off-road, completed
+
+
+def test_replay_last_demand_runs_to_the_horizon():
+    replayed = replay_metrics([start(0.0, 1, "visual", 12.0, 12.0)], 7.5)
+    assert replayed.cognitive_overload_seconds == replayed.perceptual_overload_seconds == 7.5
+
+
+def test_replay_abort_contributions():
+    def abort(reason, seconds):
+        return rec(0.5, "task-abort", task="m", initiator="machine", reason=reason, total_time=seconds)
+
+    records = [
+        abort("cognitive-cap", 1.5),
+        abort("perceptual-cap", 2.0),
+        abort("channel-conflict", 0.5),  # channel conflicts count as perceptual
+    ]
+    replayed = replay_metrics(records, 1.0)
+    assert replayed.cognitive_overload_seconds == 1.5
+    assert replayed.perceptual_overload_seconds == 2.5
+
+
+def test_replay_exact_capacity_is_not_overload():
+    replayed = replay_metrics([start(0.0, 1, "visual", 10.0, 10.0)], 5.0)
+    assert (replayed.cognitive_overload_seconds, replayed.perceptual_overload_seconds) == (0.0, 0.0)
+
+
+def test_replay_of_an_empty_trace():
+    assert replay_metrics([], 8.0) == ReplayedMetrics(0.0, 0.0, 0.0, 8.0)
+
+
+def test_replay_integrates_awareness_between_records():
+    records = [rec(0.0, "init", awareness=1.0), rec(4.0, "memory-update", awareness=0.5)]
+    assert replay_metrics(records, 10.0).sa_average(10.0) == 70.0

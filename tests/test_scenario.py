@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hmisim.cli import main
 from hmisim.driver import ALL_LEVELS
 from hmisim.experiment import PlanError, load_plan
+from hmisim.metrics import read_trace, write_trace
 from hmisim.replay import check_safety_rules, replay_metrics
 from hmisim.scenario import (
     ControlBinding,
@@ -448,6 +449,12 @@ def test_generated_scenario_is_loaded_or_rejected(generated, demo_config, path, 
     assert replayed.cognitive_overload_seconds == pytest.approx(m.cognitive_overload_seconds, rel=1e-9, abs=1e-9)
     assert replayed.perceptual_overload_seconds == pytest.approx(m.perceptual_overload_seconds, rel=1e-9, abs=1e-9)
     assert replayed.sa_average(length) == pytest.approx(m.sa_average, rel=1e-9, abs=1e-9)
+    # The trace reads back as written, and a rerun of the trial writes the same bytes.
+    first, second = generated / "first.jsonl", generated / "second.jsonl"
+    write_trace(result.records, first)
+    assert read_trace(first) == result.records
+    write_trace(run_trial(demo_config, loaded, seed=1, trial_length=length).records, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 DEMO_ELEMENTS = yaml.safe_load((PKG_DATA / "demo_elements.yaml").read_text())
