@@ -50,7 +50,7 @@ class TaskInstance:
 
 @dataclass(frozen=True)
 class Granted:
-    start: float
+    """The instance is active from the request time on."""
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,6 @@ class AttentionState:
         )
         self.channel_conflict = self.queued_channel_conflict()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def active_instances(self) -> list[TaskInstance]:
         return sorted(self._by_channel.values(), key=lambda i: i.uid)
 
@@ -146,7 +142,7 @@ class AttentionState:
         reason = self.first_failing(instance.task)
         if reason is None:
             self._activate(instance, now)
-            return Granted(start=now)
+            return Granted()
         if instance.task.initiator is Initiator.MACHINE:
             return Aborted(reason=reason)
         existing = next(

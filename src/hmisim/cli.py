@@ -17,7 +17,6 @@ back to the current directory).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -271,13 +270,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     sa_floor = args.sa_floor if args.sa_floor is not None else (plan.sa_floor if plan else None)
     if sa_floor is None:
         raise UsageError("optimize needs --sa-floor (there is no endorsed default)")
-    if args.sa_floor is not None:  # a plan's floor is checked by load_plan
-        issues: list[Violation] = []
+    issues: list[Violation] = []  # a plan's floor and budget are checked by load_plan
+    if args.sa_floor is not None:
         if as_number(args.sa_floor, "--sa-floor", "optimize", issues, at_least=0, at_most=100) is None:
             raise UsageError(issues[0].message)
     budget = args.budget if args.budget is not None else (plan.budget if plan else None)
     if budget is None:
         raise UsageError("optimize needs --budget (candidate evaluation limit)")
+    if args.budget is not None:
+        if as_integer(args.budget, "--budget", "optimize", issues, at_least=0) is None:
+            raise ConfigurationError(issues)
     if args.weights is not None:
         weights = _parse_weights(args.weights)
     else:
@@ -347,12 +349,17 @@ def _read_seeds_file(path: str) -> list[int]:
 def _batch_settings(
     args: argparse.Namespace, plan: ExperimentPlan | None
 ) -> tuple[list[int], float, int]:
-    """Resolve (seeds, trial length, jobs); flags override the plan."""
+    """Resolve (seeds, trial length, jobs); flags override the plan, which ``load_plan`` checked."""
     trials = args.trials
+    issues: list[Violation] = []
     if trials is not None:
-        issues: list[Violation] = []
-        if as_integer(trials, "--trials", "trials", issues, at_least=1, at_most=MAX_TRIALS) is None:
-            raise ConfigurationError(issues)
+        as_integer(trials, "--trials", "trials", issues, at_least=1, at_most=MAX_TRIALS)
+    if args.length is not None:
+        as_number(args.length, "--length", "trials", issues, above=0)
+    if args.jobs is not None:
+        as_integer(args.jobs, "--jobs", "trials", issues, at_least=1)
+    if issues:
+        raise ConfigurationError(issues)
     if args.seeds_file:
         seeds = _read_seeds_file(args.seeds_file)
     elif args.seed is not None:
@@ -370,12 +377,7 @@ def _batch_settings(
         )
     seeds = seeds[:trials]
     length = args.length if args.length is not None else (plan.trial_length if plan else DEFAULT_TRIAL_LENGTH)
-    if not 0 < length < math.inf:
-        message = f"trial length must be > 0 and finite, got {length}"
-        raise ConfigurationError([Violation("error", "trials", message)])
     jobs = args.jobs if args.jobs is not None else (plan.jobs if plan else 1)
-    if jobs < 1:
-        raise ConfigurationError([Violation("error", "trials", f"jobs must be >= 1, got {jobs}")])
     return seeds, float(length), jobs
 
 

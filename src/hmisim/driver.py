@@ -1,11 +1,12 @@
-"""Driver-side behaviour: periodic impulses, memory, and awareness.
+"""Driver-side behaviour: periodic impulses, beliefs, and awareness.
 
 Cognitive functions model the driver's recurring urges (check the speed,
 glance at the mirrors, ...): each one fires at normally distributed
 intervals drawn from its own random substream and requests its target
-task.  Driver memory holds the last perceived value of each tracked
-vehicle/road parameter; completing a task that carries an awareness
-parameter refreshes the corresponding belief from ground truth.
+task.  Ground truth and the driver's beliefs are plain dicts from a
+tracked vehicle/road parameter to its value: the belief is the last
+perceived (discretized) value, and completing a task that carries an
+awareness parameter refreshes it from ground truth.
 
 Situation awareness at an instant is the fraction of tracked parameters
 whose belief matches ground truth, with numeric parameters compared on a
@@ -15,7 +16,7 @@ resolution).  With nothing tracked, awareness is defined as 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -47,51 +48,12 @@ def next_trigger(function: CognitiveFunction, stream: np.random.Generator, now: 
 
 
 @dataclass
-class Belief:
-    value: Any
-    updated_at: float
-
-
-@dataclass
 class AwarenessParameter:
     """A tracked ground-truth parameter and how beliefs are compared to it."""
 
     name: str
     resolution: float | None = None
     initial: Any | None = None
-
-
-class GroundTruth:
-    """Current true values of the observable vehicle/road parameters."""
-
-    def __init__(self) -> None:
-        self.values: dict[str, Any] = {}
-
-    def set(self, parameter: str, value: Any) -> None:
-        self.values[parameter] = value
-
-    def get(self, parameter: str) -> Any:
-        return self.values[parameter]
-
-    def __contains__(self, parameter: str) -> bool:
-        return parameter in self.values
-
-
-class DriverMemory:
-    """Beliefs about tracked parameters; changed only by explicit updates."""
-
-    def __init__(self) -> None:
-        self.beliefs: dict[str, Belief] = {}
-
-    def initialize(self, parameter: str, value: Any, at: float = 0.0) -> None:
-        self.beliefs[parameter] = Belief(value=value, updated_at=at)
-
-    def update_from_truth(
-        self, parameter: str, truth: GroundTruth, resolution: float | None, now: float
-    ) -> Any:
-        value = discretize(truth.get(parameter), resolution)
-        self.beliefs[parameter] = Belief(value=value, updated_at=now)
-        return value
 
 
 def discretize(value: Any, resolution: float | None) -> Any:
@@ -102,8 +64,8 @@ def discretize(value: Any, resolution: float | None) -> Any:
 
 
 def awareness(
-    memory: DriverMemory,
-    truth: GroundTruth,
+    beliefs: dict[str, Any],
+    truth: dict[str, Any],
     parameters: dict[str, AwarenessParameter],
 ) -> float:
     """Fraction of tracked parameters whose belief matches ground truth."""
@@ -111,31 +73,6 @@ def awareness(
         return 1.0
     matching = 0
     for name, param in parameters.items():
-        belief = memory.beliefs.get(name)
-        if belief is None:
-            continue
-        if belief.value == discretize(truth.get(name), param.resolution):
+        if name in beliefs and beliefs[name] == discretize(truth[name], param.resolution):
             matching += 1
     return matching / len(parameters)
-
-
-@dataclass(frozen=True)
-class MemoryUpdate:
-    parameter: str
-    value: Any
-    time: float
-
-
-def on_task_complete(
-    memory: DriverMemory,
-    truth: GroundTruth,
-    awareness_parameter: str | None,
-    parameters: dict[str, AwarenessParameter],
-    now: float,
-) -> MemoryUpdate | None:
-    """Refresh the belief carried by a just-completed task, if any."""
-    if awareness_parameter is None:
-        return None
-    param = parameters[awareness_parameter]
-    value = memory.update_from_truth(awareness_parameter, truth, param.resolution, now)
-    return MemoryUpdate(parameter=awareness_parameter, value=value, time=now)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
@@ -43,68 +42,53 @@ class EventKind(str, Enum):
     SPEED_CHANGE = "speed-change"
 
 
-@dataclass(eq=False)
-class SimEvent:
-    """A scheduled occurrence."""
-
-    time: float
-    sequence: int
-    kind: EventKind
-    payload: Any = None
-
-
 class EventCalendar:
     """Future event list with deterministic same-time ordering.
 
-    Every scheduled event fires exactly once, when :meth:`run_until`
-    reaches its time.  ``pending`` counts the events not yet fired and
-    ``max_pending`` the largest that count has been.
+    Every scheduled event is a heap entry ``(time, sequence, kind, payload)``
+    and fires exactly once, when :meth:`run_until` reaches its time.
+    ``max_pending`` is the largest number of events ever waiting at once.
     """
 
     def __init__(self) -> None:
         self.clock: float = 0.0
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, EventKind, Any]] = []
         self._next_sequence = 0
         self.max_pending = 0
 
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, time: float, kind: EventKind, payload: Any = None) -> SimEvent:
-        """Add an event at ``time`` (>= clock, finite) and return its handle."""
+    def schedule(self, time: float, kind: EventKind, payload: Any = None) -> None:
+        """Add an event at ``time`` (>= clock, finite)."""
         if not math.isfinite(time):
             raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
         if time < self.clock:
             raise SimulationError(
                 f"cannot schedule {kind.value} at t={time} before current clock t={self.clock}"
             )
-        event = SimEvent(time=float(time), sequence=self._next_sequence, kind=kind, payload=payload)
+        heapq.heappush(self._heap, (float(time), self._next_sequence, kind, payload))
         self._next_sequence += 1
-        heapq.heappush(self._heap, (event.time, event.sequence, event))
         if len(self._heap) > self.max_pending:
             self.max_pending = len(self._heap)
-        return event
 
-    def run_until(self, t_end: float, dispatcher: Callable[[SimEvent], None]) -> None:
+    def run_until(self, t_end: float, dispatcher: Callable[[float, EventKind, Any], None]) -> None:
         """Fire every pending event with time <= ``t_end`` (inclusive), in order.
 
-        The dispatcher may schedule further events.  On return the clock
-        sits at ``t_end``.  A dispatcher exception aborts the trial with a
-        diagnostic naming the offending event.
+        Each event is passed as ``dispatcher(time, kind, payload)``, which
+        may schedule further events.  On return the clock sits at ``t_end``.
+        A dispatcher exception aborts the trial with a diagnostic naming the
+        offending event.
         """
         if t_end < self.clock:
             raise SimulationError(f"run_until({t_end}) is before current clock t={self.clock}")
         while self._heap and self._heap[0][0] <= t_end:
-            _, _, event = heapq.heappop(self._heap)
-            self.clock = event.time
+            time, _, kind, payload = heapq.heappop(self._heap)
+            self.clock = time
             try:
-                dispatcher(event)
+                dispatcher(time, kind, payload)
             except SimulationError:
                 raise
             except Exception as exc:
                 raise SimulationError(
-                    f"dispatcher failed on {event.kind.value} event at t={event.time}: {exc}"
+                    f"dispatcher failed on {kind.value} event at t={time}: {exc}"
                 ) from exc
         self.clock = t_end
 
@@ -130,6 +114,3 @@ class RandomStreams:
             generator = np.random.default_rng(seed_seq)
             self._generators[name] = generator
         return generator
-
-    def names(self) -> list[str]:
-        return sorted(self._generators)

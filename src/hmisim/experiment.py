@@ -442,9 +442,6 @@ class SearchResult:
     initial_metrics: list[TrialMetrics] | None = None
     final_metrics: list[TrialMetrics] | None = None
 
-    def improved(self) -> bool:
-        return bool(self.accepted_moves)
-
 
 def replay_moves(config: Configuration, moves: Iterable[DesignMove]) -> Configuration:
     """Re-apply an accepted-move log; reproduces ``SearchResult.config``."""
@@ -474,8 +471,10 @@ def local_search(
     """
     if not 0.0 <= sa_floor <= 100.0:
         raise ValueError(f"sa_floor must be within [0, 100], got {sa_floor}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     weights = weights or ObjectiveWeights()
-    if budget <= 0:
+    if budget == 0:
         return SearchResult(
             config=config,
             objective=None,
@@ -595,9 +594,6 @@ class ExperimentPlan:
     budget: int | None = None
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     jobs: int = 1
-
-    def seeds(self) -> list[int]:
-        return self.master_seeds[: self.trials_per_config]
 
     def load_scenario(self) -> Scenario:
         return load_scenario(self.scenario_path)

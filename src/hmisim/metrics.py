@@ -144,19 +144,19 @@ class MetricsCollector:
         self._sa_integral += self.awareness * dt
         self._last_time = now
 
-    def record(self, now: float, kind: str, payload: dict[str, Any]) -> TraceRecord:
-        rec = TraceRecord(
-            time=now,
-            kind=kind,
-            payload=payload,
-            cognitive_sum=self.attention.cognitive_sum,
-            perceptual_sum=self.attention.perceptual_sum,
-            awareness=self.awareness,
-            level=self.machine.state.level,
-            road_max=self.machine.current_max,
+    def record(self, now: float, kind: str, payload: dict[str, Any]) -> None:
+        self.records.append(
+            TraceRecord(
+                time=now,
+                kind=kind,
+                payload=payload,
+                cognitive_sum=self.attention.cognitive_sum,
+                perceptual_sum=self.attention.perceptual_sum,
+                awareness=self.awareness,
+                level=self.machine.level,
+                road_max=self.machine.current_max,
+            )
         )
-        self.records.append(rec)
-        return rec
 
     # -- point accruals -------------------------------------------------------
 

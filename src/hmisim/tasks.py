@@ -549,6 +549,8 @@ def validate(config: Configuration) -> list[Violation]:
             issues.append(Violation("error", where, f"duration must be > 0 and finite, got {task.duration}"))
         if not math.isfinite(task.gaze_time) or task.gaze_time < 0:
             issues.append(Violation("error", where, f"gaze_time must be >= 0 and finite, got {task.gaze_time}"))
+        elif not math.isfinite(task.total_time()):  # finite parts whose sum overflows
+            issues.append(Violation("error", where, f"duration + 2 * gaze_time must be finite, got {task.total_time()}"))
         if task.gaze_time != 0 and task.perception_type is not AttentionalChannel.VISUAL:
             issues.append(
                 Violation(

@@ -4,12 +4,12 @@ One trial wires a task configuration and a scenario onto the event
 kernel: the road timeline and take-over requests are scheduled up front,
 cognitive functions keep re-arming themselves, machine tasks are emitted
 by vehicle events, and every task request passes through attention
-admission.  Completing a task can refresh driver memory, fire a follow-up
+admission.  Completing a task can refresh a driver belief, fire a follow-up
 task, and operate the automation level.  All of it is folded into the
 four trial indicators and, in a traced trial, recorded as a timeline trace.
 
 Within one completion the order is fixed: release and queue admissions,
-then the memory update, then the follow-up request, then the automation
+then the belief update, then the follow-up request, then the automation
 control action.  Ties on the calendar resolve by scheduling order.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import driver as driver_mod
 from .attention import Aborted, AttentionState, Granted, Queued, TaskInstance
-from .engine import EventCalendar, EventKind, RandomStreams, SimEvent
+from .engine import EventCalendar, EventKind, RandomStreams
 from .metrics import MetricsCollector, TraceRecord, TrialMetrics, eyes_off_contribution
 from .scenario import ControlBinding, Scenario, cross_validate
 from .tasks import Configuration, ConfigurationError, Task, Violation, validate
@@ -33,8 +33,6 @@ from .vehicle import (
     RoadSegment,
     RoadTimeline,
     TorPayload,
-    TransitionEvent,
-    TransitionKind,
     generate_timeline,
     schedule_tor,
 )
@@ -46,12 +44,6 @@ ROAD_STREAM = "road"
 class TrialResult:
     metrics: TrialMetrics
     records: list[TraceRecord]
-
-
-@dataclass(frozen=True)
-class _SpeedChange:
-    time: float
-    value: float
 
 
 class _TaskRow:
@@ -134,7 +126,7 @@ class _Trial:
                 scenario.road_process, self.streams.stream(ROAD_STREAM), trial_length
             )
 
-        self.truth = driver_mod.GroundTruth()
+        self.truth: dict[str, Any] = {}
         self.machine = AutomationStateMachine(
             timeline=self.timeline,
             initial_level=scenario.vehicle.initial_level,
@@ -142,12 +134,12 @@ class _Trial:
             truth=self.truth,
             initial_speed=scenario.speed.initial_value(),
         )
-        self.memory = driver_mod.DriverMemory()
-        for name, param in scenario.awareness.items():
-            if param.initial is not None:
-                self.memory.initialize(name, driver_mod.discretize(param.initial, param.resolution))
-            else:
-                self.memory.initialize(name, driver_mod.discretize(self.truth.get(name), param.resolution))
+        self.beliefs = {
+            name: driver_mod.discretize(
+                param.initial if param.initial is not None else self.truth[name], param.resolution
+            )
+            for name, param in scenario.awareness.items()
+        }
 
         self.attention = AttentionState()
         self.collector = MetricsCollector(trial_length, self.attention, self.machine)
@@ -166,7 +158,7 @@ class _Trial:
         )
         change = scenario.speed.next_change(0.0)
         if change is not None and change[0] <= trial_length:
-            self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, _SpeedChange(*change))
+            self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, change)
         for function in scenario.cognitive_functions:
             source = f"cf:{function.name}"
             cf = _FunctionRow(function, self.streams.stream(source), source)
@@ -175,7 +167,7 @@ class _Trial:
     def _update_awareness(self) -> None:
         """Re-score awareness; called after every change to beliefs or ground truth."""
         self.collector.awareness = driver_mod.awareness(
-            self.memory, self.truth, self.scenario.awareness
+            self.beliefs, self.truth, self.scenario.awareness
         )
 
     # -- main loop ---------------------------------------------------------------
@@ -189,10 +181,9 @@ class _Trial:
         metrics = self.collector.finalize(self.seed)
         return TrialResult(metrics=metrics, records=self.collector.records)
 
-    def _dispatch(self, event: SimEvent) -> None:
-        now = event.time
+    def _dispatch(self, now: float, kind: EventKind, payload: Any) -> None:
         self.collector.advance(now)
-        _HANDLERS[event.kind](self, event.payload, now)
+        _HANDLERS[kind](self, payload, now)
 
     # -- handlers ------------------------------------------------------------------
 
@@ -201,7 +192,7 @@ class _Trial:
         next_at = driver_mod.next_trigger(function, cf.stream, now)
         if next_at <= self.length:
             self.calendar.schedule(next_at, EventKind.TRIGGER, cf)
-        enabled = self.machine.state.level in function.enabled_levels
+        enabled = self.machine.level in function.enabled_levels
         if self.trace:
             self.collector.record(
                 now,
@@ -302,20 +293,21 @@ class _Trial:
             )
         for waiting in admitted:
             self._start_instance(self.rows[waiting.task.name], waiting, now, f"dequeued:{waiting.source}")
-        previous = self.memory.beliefs.get(task.awareness_parameter)
-        update = driver_mod.on_task_complete(
-            self.memory, self.truth, task.awareness_parameter, self.scenario.awareness, now
-        )
-        if update is not None:
-            if previous is None or update.value != previous.value:  # else awareness cannot change
+        parameter = task.awareness_parameter
+        if parameter is not None:
+            previous = self.beliefs[parameter]
+            value = self.beliefs[parameter] = driver_mod.discretize(
+                self.truth[parameter], self.scenario.awareness[parameter].resolution
+            )
+            if value != previous:  # else awareness cannot change
                 self._update_awareness()
             if self.trace:
                 self.collector.record(
                     now,
                     "memory-update",
                     {
-                        "parameter": update.parameter,
-                        "value": update.value,
+                        "parameter": parameter,
+                        "value": value,
                         "task": task.name,
                         "instance": instance.uid,
                     },
@@ -326,12 +318,7 @@ class _Trial:
             self._apply_control(task.name, row.control, now)
 
     def _apply_control(self, task_name: str, control: ControlBinding, now: float) -> None:
-        kind = (
-            TransitionKind.DRIVER_SWITCH_UP
-            if control.action == "switch_up"
-            else TransitionKind.DRIVER_SWITCH_DOWN
-        )
-        result = self.machine.transition(TransitionEvent(kind=kind, target=control.target), now)
+        result = self.machine.transition(control.action, control.target)
         self._update_awareness()
         if self.trace:
             self.collector.record(
@@ -351,8 +338,7 @@ class _Trial:
 
     def _on_boundary(self, segment: RoadSegment, now: float) -> None:
         previous_max = self.machine.current_max
-        previous_level = self.machine.state.level
-        result = self.machine.on_boundary(segment, now)
+        result = self.machine.on_boundary(segment)
         self._update_awareness()
         if self.trace:
             self.collector.record(
@@ -366,7 +352,7 @@ class _Trial:
                         "change": "level",
                         "cause": "availability-drop",
                         "granted": True,
-                        "previous": previous_level,
+                        "previous": result.previous_level,
                         "level": result.level,
                         "note": result.note,
                     },
@@ -374,7 +360,7 @@ class _Trial:
         self._emit_bound(result.emitted, now, source="binding:availability")
 
     def _on_tor(self, payload: TorPayload, now: float) -> None:
-        active, emitted = self.machine.on_tor(payload, now)
+        active, emitted = self.machine.on_tor(payload)
         if self.trace:
             self.collector.record(
                 now,
@@ -390,21 +376,22 @@ class _Trial:
         if active:
             self._emit_bound(emitted, now, source=f"binding:{payload.phase.value}")
 
-    def _on_speed_change(self, change: _SpeedChange, now: float) -> None:
-        self.machine.set_speed(change.value)
+    def _on_speed_change(self, change: tuple[float, float], now: float) -> None:
+        speed = change[1]
+        self.machine.set_speed(speed)
         self._update_awareness()
         if self.trace:
-            self.collector.record(now, "vehicle-transition", {"change": "speed", "speed": change.value})
+            self.collector.record(now, "vehicle-transition", {"change": "speed", "speed": speed})
         nxt = self.scenario.speed.next_change(now)
         if nxt is not None and nxt[0] <= self.length:
-            self.calendar.schedule(nxt[0], EventKind.SPEED_CHANGE, _SpeedChange(*nxt))
+            self.calendar.schedule(nxt[0], EventKind.SPEED_CHANGE, nxt)
 
     def _truncate_remaining(self) -> None:
         """Record the books balanced at the trial horizon (traced trials only).
 
         Instances still active at the end are released without queue
         admission and recorded as uncompleted ends; they contribute no
-        eyes-off time, no memory updates, and no follow-ups.  The
+        eyes-off time, no belief updates, and no follow-ups.  The
         indicators are integrated to the horizon before any release.
         """
         self.collector.advance(self.length)

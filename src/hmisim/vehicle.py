@@ -2,11 +2,11 @@
 
 The road is a pre-generated semi-Markov timeline partitioning the trial
 horizon into segments, each capping the available automation level at
-0-4 (4 = autonomous driving).  The vehicle state machine tracks the
-active level, the take-over-request phase, and the scripted speed; it
-enforces that drivers may switch up only to an available level, that
-drivers may always switch down, and that an availability drop forces the
-level down to the new cap.
+0-4 (4 = autonomous driving).  The vehicle state machine keeps the
+active level and the road's current cap, and mirrors them and the
+scripted speed into ground truth; it enforces that drivers may switch up
+only to an available level, that drivers may always switch down, and
+that an availability drop forces the level down to the new cap.
 
 Where automation at the top level is about to become unavailable, two
 take-over requests are scheduled ahead of the boundary: an early one
@@ -17,7 +17,6 @@ is actually at the top level when they fire.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,8 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .engine import EventCalendar, EventKind, SimEvent
-from .driver import GroundTruth
+from .engine import EventCalendar, EventKind
 
 MAX_LEVEL = 4
 TOP_LEVEL = 4  # full autonomous driving
@@ -40,7 +38,6 @@ GROUND_TRUTH_PARAMETERS = (PARAM_SPEED, PARAM_LEVEL, PARAM_AD_AVAILABLE, PARAM_R
 
 
 class TorPhase(str, Enum):
-    NONE = "none"
     EARLY = "TOR60"
     FINAL = "TOR10"
 
@@ -69,11 +66,6 @@ class RoadTimeline:
             expected = seg.end
         if expected != self.horizon:
             raise ValueError(f"segments end at {expected}, horizon is {self.horizon}")
-
-    def max_level_at(self, t: float) -> int:
-        starts = [seg.start for seg in self.segments]
-        index = bisect.bisect_right(starts, t) - 1
-        return self.segments[max(index, 0)].max_level
 
 
 @dataclass(frozen=True)
@@ -146,47 +138,24 @@ def schedule_tor(
     calendar: EventCalendar,
     lead_seconds: float = 60.0,
     final_seconds: float = 10.0,
-) -> list[SimEvent]:
+) -> None:
     """Schedule early/final take-over requests before each drop out of AD.
 
     Request times are boundary minus lead, clamped to the AD segment start.
     """
-    events: list[SimEvent] = []
     for seg, nxt in zip(timeline.segments, timeline.segments[1:]):
         if seg.max_level == TOP_LEVEL and nxt.max_level < TOP_LEVEL:
             boundary = seg.end
             for phase, lead in ((TorPhase.EARLY, lead_seconds), (TorPhase.FINAL, final_seconds)):
-                at = max(boundary - lead, seg.start)
-                events.append(
-                    calendar.schedule(
-                        at,
-                        EventKind.TOR,
-                        TorPayload(phase=phase, boundary=boundary, segment_start=seg.start),
-                    )
+                calendar.schedule(
+                    max(boundary - lead, seg.start),
+                    EventKind.TOR,
+                    TorPayload(phase=phase, boundary=boundary, segment_start=seg.start),
                 )
-    return events
 
 
 # ---------------------------------------------------------------------------
 # automation state machine
-
-@dataclass
-class VehicleState:
-    level: int
-    tor_phase: TorPhase = TorPhase.NONE
-    speed: float = 0.0
-
-
-class TransitionKind(str, Enum):
-    DRIVER_SWITCH_UP = "driver-switch-up"
-    DRIVER_SWITCH_DOWN = "driver-switch-down"
-
-
-@dataclass(frozen=True)
-class TransitionEvent:
-    kind: TransitionKind
-    target: int | None = None  # requested level
-
 
 @dataclass
 class TransitionResult:
@@ -218,71 +187,69 @@ class EventBindings:
 
 
 class AutomationStateMachine:
-    """Holds vehicle state, mirrors it into ground truth, and resolves
-    which machine tasks each state change emits."""
+    """Holds the automation ``level`` and the road's ``current_max``, mirrors
+    them into the ground-truth dict, and resolves which machine tasks each
+    state change emits."""
 
     def __init__(
         self,
         timeline: RoadTimeline,
         initial_level: int,
         bindings: EventBindings,
-        truth: GroundTruth,
+        truth: dict[str, Any],
         initial_speed: float = 0.0,
     ) -> None:
-        self.timeline = timeline
         self.bindings = bindings
         self.truth = truth
         first_max = timeline.segments[0].max_level
-        level = min(initial_level, first_max)
-        self.state = VehicleState(level=level, speed=initial_speed)
+        self.level = min(initial_level, first_max)
         self.current_max = first_max
-        truth.set(PARAM_SPEED, initial_speed)
-        truth.set(PARAM_LEVEL, level)
-        truth.set(PARAM_AD_AVAILABLE, first_max == TOP_LEVEL)
-        truth.set(PARAM_ROAD_MAX, first_max)
+        truth[PARAM_SPEED] = initial_speed
+        truth[PARAM_LEVEL] = self.level
+        truth[PARAM_AD_AVAILABLE] = first_max == TOP_LEVEL
+        truth[PARAM_ROAD_MAX] = first_max
 
     # -- state changes -------------------------------------------------------
 
-    def transition(self, event: TransitionEvent, now: float) -> TransitionResult:
-        if event.kind is TransitionKind.DRIVER_SWITCH_UP:
-            target = event.target if event.target is not None else self.current_max
+    def transition(self, action: str, target: int | None) -> TransitionResult:
+        """Apply a driver control: ``"switch_up"`` or ``"switch_down"`` to ``target``."""
+        if action == "switch_up":
+            target = target if target is not None else self.current_max
             if target > self.current_max:
                 return TransitionResult(
                     granted=False,
                     level_changed=False,
-                    previous_level=self.state.level,
-                    level=self.state.level,
+                    previous_level=self.level,
+                    level=self.level,
                     note=f"switch-up to {target} rejected: max available is {self.current_max}",
                 )
-            return self._set_level(target, granted=True)
-        # DRIVER_SWITCH_DOWN
-        target = event.target if event.target is not None else max(self.state.level - 1, 0)
-        target = min(target, self.state.level)  # switching "down" never raises
-        return self._set_level(target, granted=True)
+            return self._set_level(target)
+        target = target if target is not None else max(self.level - 1, 0)
+        return self._set_level(min(target, self.level))  # switching "down" never raises
 
-    def _set_level(self, target: int, granted: bool) -> TransitionResult:
-        previous = self.state.level
+    def _set_level(self, target: int) -> TransitionResult:
+        previous = self.level
         if target == previous:
             return TransitionResult(
-                granted=granted, level_changed=False, previous_level=previous, level=previous
+                granted=True, level_changed=False, previous_level=previous, level=previous
             )
-        self.state.level = target
-        if previous == TOP_LEVEL or target != TOP_LEVEL:
-            self.state.tor_phase = TorPhase.NONE
-        self.truth.set(PARAM_LEVEL, target)
+        self.level = target
+        self.truth[PARAM_LEVEL] = target
         return TransitionResult(
-            granted=granted,
+            granted=True,
             level_changed=True,
             previous_level=previous,
             level=target,
             emitted=self.bindings.for_level_change(target),
         )
 
-    def _availability_change(self, new_max: int) -> TransitionResult:
+    def on_boundary(self, segment: RoadSegment) -> TransitionResult:
+        """Enter a road segment: its cap, the tasks bound to the change, and a
+        forced downgrade if the level is above the new cap."""
         old_max = self.current_max
-        self.current_max = new_max
-        self.truth.set(PARAM_ROAD_MAX, new_max)
-        self.truth.set(PARAM_AD_AVAILABLE, new_max == TOP_LEVEL)
+        new_max = self.current_max = segment.max_level
+        self.truth[PARAM_ROAD_MAX] = new_max
+        self.truth[PARAM_AD_AVAILABLE] = new_max == TOP_LEVEL
         emitted: list[str] = []
         if new_max > old_max:
             for lvl in sorted(self.bindings.availability_rise):
@@ -292,31 +259,24 @@ class AutomationStateMachine:
             for lvl in sorted(self.bindings.availability_drop, reverse=True):
                 if new_max < lvl <= old_max:
                     emitted.extend(self.bindings.availability_drop[lvl])
-        result = TransitionResult(
-            granted=True,
-            level_changed=False,
-            previous_level=self.state.level,
-            level=self.state.level,
-            emitted=emitted,
-        )
-        if self.state.level > new_max:
-            forced = self._set_level(new_max, granted=True)
-            result.level_changed = True
-            result.level = forced.level
-            result.emitted = emitted + forced.emitted
-            result.note = "forced downgrade"
-        return result
+        if self.level <= new_max:
+            return TransitionResult(
+                granted=True,
+                level_changed=False,
+                previous_level=self.level,
+                level=self.level,
+                emitted=emitted,
+            )
+        forced = self._set_level(new_max)
+        forced.emitted = emitted + forced.emitted
+        forced.note = "forced downgrade"
+        return forced
 
-    def on_boundary(self, segment: RoadSegment, now: float) -> TransitionResult:
-        return self._availability_change(segment.max_level)
-
-    def on_tor(self, payload: TorPayload, now: float) -> tuple[bool, list[str]]:
+    def on_tor(self, payload: TorPayload) -> tuple[bool, list[str]]:
         """Apply a take-over request; emits only if the vehicle is in AD."""
-        if self.state.level != TOP_LEVEL:
+        if self.level != TOP_LEVEL:
             return False, []
-        self.state.tor_phase = payload.phase
         return True, self.bindings.for_tor(payload.phase)
 
     def set_speed(self, value: float) -> None:
-        self.state.speed = value
-        self.truth.set(PARAM_SPEED, value)
+        self.truth[PARAM_SPEED] = value

@@ -91,9 +91,6 @@ class WorkloadScale:
         except KeyError:
             raise UnknownDescriptorError(category, descriptor.strip()) from None
 
-    def has(self, category: ScaleCategory, descriptor: str) -> bool:
-        return (category, descriptor.strip()) in self.entries
-
     def descriptors(self, category: ScaleCategory) -> dict[str, float]:
         """All descriptors of one category, in scale order."""
         return {d: v for (c, d), v in self.entries.items() if c is category}

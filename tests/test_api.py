@@ -1,0 +1,55 @@
+"""The public surface: the package exports, and every name the benchmark's tracer patches."""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import hmisim
+import hmisim.cli  # the package does not import its CLI; the tracer wraps names in it
+from hmisim.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", hmisim.__all__)
+def test_every_exported_name_resolves(name):
+    assert getattr(hmisim, name) is not None
+
+
+@pytest.fixture
+def tracer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer").Tracer(tmp_path / "spool")
+
+
+def test_tracer_resolves_every_name_it_patches(tracer):
+    # _build looks each name up; a deleted one raises AttributeError here.
+    replacements = tracer._build(hmisim)
+    assert replacements
+    for owner, attr, replacement in replacements:
+        assert callable(getattr(owner, attr)), f"{owner!r}.{attr}"
+        assert callable(replacement)
+
+
+def test_traced_run_matches_the_untraced_run(tracer, tmp_path, capsys):
+    argv = [
+        "run",
+        "--tasks", str(DATA / "scripted_tasks.csv"),
+        "--elements", str(DATA / "scripted_elements.yaml"),
+        "--scenario", str(DATA / "scripted_scenario.yaml"),
+        "--seed", "3", "--length", "100",
+    ]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    with tracer.installed(hmisim):
+        assert main([*argv, "--out", str(tmp_path / "traced")]) == 0
+    capsys.readouterr()
+    for name in ("metrics.csv", "trace.jsonl", "task_counts.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes()
+    spans = {name for _, name in tracer.tables["ops"]}
+    assert {"trial.run_trial", "trial.dispatch", "engine.schedule", "vehicle.machine"} <= spans
+    # the wrappers are gone again
+    assert hmisim.engine.EventCalendar.schedule.__module__ == "hmisim.engine"

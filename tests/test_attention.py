@@ -50,7 +50,7 @@ def instance(task, at=0.0):
 def test_grant_on_free_channel_and_capacity():
     state = AttentionState()
     outcome = state.request(instance(make_task()), now=1.0)
-    assert outcome == Granted(start=1.0)
+    assert outcome == Granted()
     assert state.cognitive_sum == 3.0
     assert state.perceptual_sum == 3.0
 
@@ -78,7 +78,7 @@ def test_channel_exclusivity_aborts_machine_task():
         instance(make_task("b", initiator=Initiator.MACHINE)), now=0.1
     )
     assert outcome == Aborted(reason=AbortReason.CHANNEL)
-    assert state.queue_length == 0
+    assert len(state.queued_instances()) == 0
 
 
 def test_distinct_channels_run_concurrently():
@@ -153,7 +153,7 @@ def test_rerequest_of_queued_task_coalesces():
     second = state.request(instance(make_task("b")), now=0.2)
     assert isinstance(first, Queued) and not first.coalesced
     assert isinstance(second, Queued) and second.coalesced
-    assert state.queue_length == 1
+    assert len(state.queued_instances()) == 1
 
 
 def test_queue_orders_by_priority_then_fifo():
@@ -192,7 +192,7 @@ def test_release_admits_all_that_fit_in_priority_order():
     admitted = state.release(hog, now=5.0)
     assert [i.task.name for i in admitted] == ["big", "small_a", "small_b"]
     assert all(i.started_at == 5.0 for i in admitted)
-    assert state.queue_length == 0
+    assert len(state.queued_instances()) == 0
 
 
 def test_release_does_not_let_blocked_head_stall_the_queue():
@@ -228,7 +228,7 @@ def test_release_with_admit_false_skips_queue():
     state.request(hog, now=0.0)
     state.request(instance(make_task("waiter")), now=0.1)
     assert state.release(hog, now=1.0, admit=False) == []
-    assert state.queue_length == 1
+    assert len(state.queued_instances()) == 1
 
 
 def test_release_of_inactive_instance_raises():

@@ -187,6 +187,10 @@ def huge(name, old, new, message):
             "demo_scenario.yaml", "tor_lead_seconds: 60", "tor_lead_seconds: .inf",
             "vehicle: tor_lead_seconds must be >= 0 and finite, got inf",
         ),
+        (
+            "demo_tasks.csv", "1.0,,speed_check", "1.0,1e308,speed_check",
+            "task check_speed: duration + 2 * gaze_time must be finite, got inf",
+        ),
         huge("demo_elements.yaml", "gaze_time: 0.2", "gaze_time: {}", "elements[0]: gaze_time must be a number, got "),
         huge(
             "demo_scenario.yaml", "mean: 300, min: 90", "mean: {}, min: 90",
@@ -586,6 +590,25 @@ def test_trials_outside_its_range_is_one_located_error(tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["compare", "optimize"])
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--length", "nan", "--length must be > 0 and finite, got nan"),
+        ("--length", "inf", "--length must be > 0 and finite, got inf"),
+        ("--length", "0", "--length must be > 0 and finite, got 0.0"),
+        ("--length", "-1", "--length must be > 0 and finite, got -1.0"),
+        ("--jobs", "0", "--jobs must be an integer >= 1, got 0"),
+        ("--jobs", "-1", "--jobs must be an integer >= 1, got -1"),
+    ],
+)
+def test_bad_length_or_jobs_is_one_located_error(tmp_path, capsys, command, flag, value, message):
+    argv = [command, "--plan", str(PKG_DATA / "demo_plan.yaml"), "--trials", "1", flag, value]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert one_error(capsys.readouterr().err) == f"error: trials: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_worker_error_reads_the_same_at_any_jobs(tmp_path, capsys):
     # The scripted timeline covers 100 s, so each trial fails its validation in the worker.
     argv = [
@@ -619,6 +642,14 @@ def test_optimize_budget_zero_is_a_dry_run(tmp_path, capsys, scripted_config):
     assert (tmp_path / "optimized_tasks.csv").read_bytes() == expected.read_bytes()
     assert "# budget 0" in (tmp_path / "moves.log").read_text()
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("budget", ["-1", "-3"])
+def test_optimize_negative_budget_is_one_located_error(tmp_path, capsys, budget):
+    argv = ["optimize", "--plan", str(PKG_DATA / "demo_plan.yaml"), "--budget", budget, "--trials", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert one_error(capsys.readouterr().err) == f"error: optimize: --budget must be an integer >= 0, got {budget}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_optimize_requires_floor_and_budget(capsys):

@@ -8,13 +8,10 @@ from hmisim.driver import (
     MIN_TRIGGER_INTERVAL,
     AwarenessParameter,
     CognitiveFunction,
-    DriverMemory,
-    GroundTruth,
     awareness,
     default_sigma,
     discretize,
     next_trigger,
-    on_task_complete,
 )
 from hmisim.engine import RandomStreams
 
@@ -91,70 +88,31 @@ def test_discretize(value, resolution, expected):
 
 
 def test_awareness_with_nothing_tracked_is_one():
-    assert awareness(DriverMemory(), GroundTruth(), {}) == 1.0
+    assert awareness({}, {}, {}) == 1.0
 
 
 def test_awareness_counts_matching_beliefs():
-    truth = GroundTruth()
-    truth.set("speed", 92.7)
-    truth.set("automation_level", 2)
+    truth = {"speed": 92.7, "automation_level": 2}
     params = {
         "speed": AwarenessParameter("speed", resolution=1.0),
         "automation_level": AwarenessParameter("automation_level"),
     }
-    memory = DriverMemory()
-    memory.initialize("speed", 93.0)
-    memory.initialize("automation_level", 2)
-    assert awareness(memory, truth, params) == 1.0  # 92.7 snaps to 93.0
+    beliefs = {"speed": 93.0, "automation_level": 2}
+    assert awareness(beliefs, truth, params) == 1.0  # 92.7 snaps to 93.0
 
-    truth.set("speed", 95.0)
-    assert awareness(memory, truth, params) == 0.5
+    truth["speed"] = 95.0
+    assert awareness(beliefs, truth, params) == 0.5
 
-    truth.set("automation_level", 4)
-    assert awareness(memory, truth, params) == 0.0
+    truth["automation_level"] = 4
+    assert awareness(beliefs, truth, params) == 0.0
 
 
 def test_missing_belief_counts_as_mismatch():
-    truth = GroundTruth()
-    truth.set("speed", 50.0)
     params = {"speed": AwarenessParameter("speed", resolution=1.0)}
-    assert awareness(DriverMemory(), truth, params) == 0.0
+    assert awareness({}, {"speed": 50.0}, params) == 0.0
 
 
-def test_update_from_truth_stores_discretized_value():
-    truth = GroundTruth()
-    truth.set("speed", 87.6)
-    memory = DriverMemory()
-    value = memory.update_from_truth("speed", truth, resolution=1.0, now=12.0)
-    assert value == 88.0
-    assert memory.beliefs["speed"].value == 88.0
-    assert memory.beliefs["speed"].updated_at == 12.0
-
-
-def test_ground_truth_get_raises_for_unknown_parameter():
-    truth = GroundTruth()
+def test_unknown_ground_truth_parameter_raises():
+    params = {"speed": AwarenessParameter("speed")}
     with pytest.raises(KeyError):
-        truth.get("speed")
-    assert "speed" not in truth
-    truth.set("speed", 1.0)
-    assert "speed" in truth
-
-
-def test_on_task_complete_refreshes_belief():
-    truth = GroundTruth()
-    truth.set("speed", 103.2)
-    params = {"speed": AwarenessParameter("speed", resolution=1.0)}
-    memory = DriverMemory()
-    update = on_task_complete(memory, truth, "speed", params, now=30.0)
-    assert update is not None
-    assert update.parameter == "speed"
-    assert update.value == 103.0
-    assert update.time == 30.0
-    assert memory.beliefs["speed"].value == 103.0
-
-
-def test_on_task_complete_without_parameter_is_a_no_op():
-    memory = DriverMemory()
-    update = on_task_complete(memory, GroundTruth(), None, {}, now=1.0)
-    assert update is None
-    assert memory.beliefs == {}
+        awareness({"speed": 1.0}, {}, params)

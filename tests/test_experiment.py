@@ -426,7 +426,6 @@ def test_local_search_budget_zero_runs_nothing(scripted_config, scripted_scenari
     assert result.objective is None and result.initial_objective is None
     assert result.feasible is None
     assert result.log == [] and result.accepted_moves == []
-    assert not result.improved()
 
 
 def test_local_search_validates_floor(scripted_config, scripted_scenario):
@@ -434,6 +433,11 @@ def test_local_search_validates_floor(scripted_config, scripted_scenario):
         local_search(
             scripted_config, scripted_scenario, [1], 100.0, sa_floor=101.0, budget=1
         )
+
+
+def test_local_search_rejects_negative_budget(scripted_config, scripted_scenario):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -3"):
+        local_search(scripted_config, scripted_scenario, [1], 100.0, sa_floor=50.0, budget=-3)
 
 
 def test_local_search_finds_the_head_up_reallocation(scripted_config, scripted_scenario):
@@ -450,7 +454,6 @@ def test_local_search_finds_the_head_up_reallocation(scripted_config, scripted_s
     assert result.objective.eyes_off == 0.0
     assert result.objective.sa_average == 81.0
     assert result.feasible is True
-    assert result.improved()
     # one accepted evaluation plus one full pass over the new neighborhood
     assert 1 < result.evaluations <= 40
     assert sum(r.accepted for r in result.log) == 1
@@ -506,7 +509,6 @@ def test_bundled_demo_plan_loads(tmp_path):
     assert [c.name for c in plan.configurations] == ["base", "optimized"]
     assert plan.master_seeds == list(range(1, 21))
     assert plan.trials_per_config == 20
-    assert plan.seeds() == list(range(1, 21))
     assert plan.trial_length == 60_000.0
     assert plan.sa_floor == 75.0
     assert plan.budget == 40
@@ -551,7 +553,6 @@ def test_plan_explicit_seed_list_sets_trial_count(tmp_path):
     plan = load_plan(write_plan(tmp_path, MINIMAL_PLAN + "master_seeds: [11, 7, 5]\n"))
     assert plan.master_seeds == [11, 7, 5]
     assert plan.trials_per_config == 3
-    assert plan.seeds() == [11, 7, 5]
 
 
 def test_plan_seed_shorthand(tmp_path):
@@ -568,7 +569,8 @@ def test_plan_trials_can_use_seed_prefix(tmp_path):
             MINIMAL_PLAN + "master_seeds: [4, 5, 6, 7]\ntrials_per_config: 2\n",
         )
     )
-    assert plan.seeds() == [4, 5]
+    assert plan.master_seeds == [4, 5, 6, 7]
+    assert plan.trials_per_config == 2
 
 
 @pytest.mark.parametrize(

@@ -81,7 +81,7 @@ def make_collector(length):
         perceptual_demand=0.0,
         channel_conflict=False,
     )
-    machine = SimpleNamespace(state=SimpleNamespace(level=2), current_max=2)
+    machine = SimpleNamespace(level=2, current_max=2)
     return MetricsCollector(length, attention, machine)
 
 
@@ -139,9 +139,10 @@ def test_collector_records_snapshot_fields():
     collector.attention.cognitive_sum = 3.0
     collector.attention.perceptual_sum = 4.0
     collector.awareness = 0.75
-    collector.machine.state.level = 4
+    collector.machine.level = 4
     collector.machine.current_max = 4
-    rec = collector.record(2.0, "task-start", {"task": "check_speed"})
+    collector.record(2.0, "task-start", {"task": "check_speed"})
+    [rec] = collector.records
     assert rec.time == 2.0
     assert rec.kind == "task-start"
     assert rec.cognitive_sum == 3.0
@@ -149,7 +150,6 @@ def test_collector_records_snapshot_fields():
     assert rec.awareness == 0.75
     assert rec.level == 4
     assert rec.road_max == 4
-    assert collector.records == [rec]
 
 
 def test_collector_count_accumulates_per_task():

@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import textwrap
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hmisim.cli import main
+from hmisim.replay import check_safety_rules, replay_metrics
+from hmisim.scenario import load_scenario
 from hmisim.tasks import (
     TASK_COLUMNS,
     Configuration,
@@ -18,6 +28,7 @@ from hmisim.tasks import (
     validate,
     write_tasks_csv,
 )
+from hmisim.trial import run_trial
 from hmisim.workload import (
     DEFAULT_SCALE_ENTRIES,
     AttentionalChannel,
@@ -47,13 +58,15 @@ def test_default_scale_has_18_entries_over_5_categories():
 def test_lookup_strips_whitespace():
     scale = WorkloadScale()
     assert scale.lookup(ScaleCategory.VISUAL, "  Read (text) ") == 5.9
-    assert scale.has(ScaleCategory.COGNITIVE, " Simple association")
+    association = scale.entries[(ScaleCategory.COGNITIVE, "Simple association")]
+    assert scale.lookup(ScaleCategory.COGNITIVE, " Simple association") == association
 
 
 def test_unknown_descriptor_raises():
     with pytest.raises(UnknownDescriptorError):
         WorkloadScale().lookup(ScaleCategory.VISUAL, "Stare blankly")
-    assert not WorkloadScale().has(ScaleCategory.HAPTIC, "Vocal signal recognition")
+    with pytest.raises(UnknownDescriptorError):  # known, but in another category
+        WorkloadScale().lookup(ScaleCategory.HAPTIC, "Vocal signal recognition")
 
 
 def test_with_overrides_replaces_and_extends():
@@ -459,3 +472,63 @@ def test_task_map(demo_config):
     mapping = demo_config.task_map()
     assert set(mapping) == {t.name for t in demo_config.tasks}
     assert mapping["check_speed"].location == "instrument_cluster"
+
+
+# ---------------------------------------------------------------------------
+# generated task catalogs
+
+PKG_DATA = Path(str(resources.files("hmisim") / "data"))
+DEMO_ROWS = list(csv.reader(io.StringIO((PKG_DATA / "demo_tasks.csv").read_text(encoding="utf-8"))))
+
+#: What a hand-edited cell can hold: numeric text (in range, so that accepted
+#: catalogs reach the trial, and anywhere), non-finite and negative numbers,
+#: a 400-digit integer, an empty cell, or a word.
+CELL_VALUES = (
+    st.floats(min_value=0.01, max_value=20.0).map(repr)
+    | st.integers(min_value=-(10**6), max_value=10**6).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "-1", "-0.5", "0", "1" + "0" * 400, "", " 3 ", "true"])
+    | st.text(alphabet="abcdefghijklmnopqrstuvwxyz_ ", min_size=1, max_size=10)
+)
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    return tmp_path_factory.mktemp("catalogs")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    column=st.sampled_from(DEMO_ROWS[0]),
+    row=st.integers(min_value=1, max_value=len(DEMO_ROWS) - 1),
+    value=CELL_VALUES,
+)
+@example(column="GazeTime", row=1, value="1e308")  # finite, but the total time overflows
+def test_generated_task_catalog_is_validated_or_rejected(generated, column, row, value):
+    rows = [list(r) for r in DEMO_ROWS]
+    rows[row][rows[0].index(column)] = value
+    tasks = generated / "tasks.csv"
+    with tasks.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    inputs = ["--tasks", str(tasks), "--elements", str(PKG_DATA / "demo_elements.yaml")]
+    scenario = PKG_DATA / "demo_scenario.yaml"
+    code = quiet_main(["validate", *inputs, "--scenario", str(scenario)])
+    assert code in (0, 1)
+    if code == 1:
+        return
+    # Accepted: a short traced trial runs and its trace passes the audits.
+    config = load_configuration(tasks, PKG_DATA / "demo_elements.yaml")
+    length = 600.0
+    result = run_trial(config, load_scenario(scenario), seed=1, trial_length=length)
+    assert check_safety_rules(result.records).ok()
+    replayed = replay_metrics(result.records, length)
+    m = result.metrics
+    assert replayed.eyes_off_seconds == pytest.approx(m.eyes_off_seconds, rel=1e-9, abs=1e-9)
+    assert replayed.cognitive_overload_seconds == pytest.approx(m.cognitive_overload_seconds, rel=1e-9, abs=1e-9)
+    assert replayed.perceptual_overload_seconds == pytest.approx(m.perceptual_overload_seconds, rel=1e-9, abs=1e-9)
+    assert replayed.sa_average(length) == pytest.approx(m.sa_average, rel=1e-9, abs=1e-9)

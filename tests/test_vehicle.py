@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from hmisim.driver import GroundTruth
 from hmisim.engine import EventCalendar, RandomStreams
 from hmisim.vehicle import (
     GROUND_TRUTH_PARAMETERS,
@@ -21,8 +20,6 @@ from hmisim.vehicle import (
     RoadTimeline,
     TorPayload,
     TorPhase,
-    TransitionEvent,
-    TransitionKind,
     generate_timeline,
     schedule_tor,
 )
@@ -35,14 +32,6 @@ def timeline(*triples, horizon=None):
 
 # ---------------------------------------------------------------------------
 # timelines
-
-
-def test_timeline_lookup_uses_segment_containing_t():
-    line = timeline((0, 70, 4), (70, 100, 2))
-    assert line.max_level_at(0.0) == 4
-    assert line.max_level_at(69.999) == 4
-    assert line.max_level_at(70.0) == 2
-    assert line.max_level_at(99.0) == 2
 
 
 @pytest.mark.parametrize(
@@ -139,41 +128,45 @@ def test_generate_timeline_rejects_bad_horizon():
 # take-over request scheduling
 
 
+def scheduled_tors(line, **leads):
+    """The (time, payload) of each request ``schedule_tor`` puts on a calendar, in firing order."""
+    calendar = EventCalendar()
+    schedule_tor(line, calendar, **leads)
+    fired = []
+    calendar.run_until(line.horizon, lambda time, kind, payload: fired.append((time, payload)))
+    return fired
+
+
 def test_tor_scheduled_at_lead_times_before_drop():
     line = timeline((0, 200, 4), (200, 300, 2))
-    calendar = EventCalendar()
-    events = schedule_tor(line, calendar, lead_seconds=60.0, final_seconds=10.0)
-    assert [(e.time, e.payload.phase) for e in events] == [
+    events = scheduled_tors(line, lead_seconds=60.0, final_seconds=10.0)
+    assert [(time, payload.phase) for time, payload in events] == [
         (140.0, TorPhase.EARLY),
         (190.0, TorPhase.FINAL),
     ]
-    assert all(e.payload.boundary == 200.0 for e in events)
+    assert all(payload.boundary == 200.0 for _, payload in events)
 
 
 def test_tor_clamped_to_segment_start_when_segment_is_short():
     line = timeline((0, 100, 2), (100, 130, 4), (130, 200, 2))
-    calendar = EventCalendar()
-    events = schedule_tor(line, calendar, lead_seconds=60.0, final_seconds=10.0)
+    events = scheduled_tors(line, lead_seconds=60.0, final_seconds=10.0)
     # early request would land before the AD segment begins; clamp to 100
-    assert [(e.time, e.payload.phase) for e in events] == [
+    assert [(time, payload.phase) for time, payload in events] == [
         (100.0, TorPhase.EARLY),
         (120.0, TorPhase.FINAL),
     ]
-    assert all(e.payload.segment_start == 100.0 for e in events)
+    assert all(payload.segment_start == 100.0 for _, payload in events)
 
 
 def test_tor_only_for_drops_out_of_top_level():
     line = timeline((0, 100, 3), (100, 200, 2), (200, 300, 4), (300, 400, 4))
-    calendar = EventCalendar()
     # 3 -> 2 is not an AD drop; 4 -> 4 is not a drop at all
-    assert schedule_tor(line, calendar) == []
+    assert scheduled_tors(line) == []
 
 
 def test_tor_for_each_distinct_ad_exit():
     line = timeline((0, 100, 4), (100, 200, 2), (200, 500, 4), (500, 600, 0))
-    calendar = EventCalendar()
-    events = schedule_tor(line, calendar)
-    assert [e.time for e in events] == [40.0, 90.0, 440.0, 490.0]
+    assert [time for time, _ in scheduled_tors(line)] == [40.0, 90.0, 440.0, 490.0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +174,7 @@ def test_tor_for_each_distinct_ad_exit():
 
 
 def make_machine(line=None, initial_level=4, bindings=None):
-    truth = GroundTruth()
+    truth = {}
     machine = AutomationStateMachine(
         timeline=line or timeline((0, 200, 4), (200, 300, 2)),
         initial_level=initial_level,
@@ -193,74 +186,62 @@ def make_machine(line=None, initial_level=4, bindings=None):
 
 def test_initial_level_clamped_to_first_segment_cap():
     machine, truth = make_machine(line=timeline((0, 100, 2), (100, 200, 4)), initial_level=4)
-    assert machine.state.level == 2
-    assert truth.get(PARAM_LEVEL) == 2
-    assert truth.get(PARAM_AD_AVAILABLE) is False
-    assert truth.get(PARAM_ROAD_MAX) == 2
-    assert truth.get(PARAM_SPEED) == 0.0
-    assert set(GROUND_TRUTH_PARAMETERS) <= set(truth.values)
+    assert machine.level == 2
+    assert truth[PARAM_LEVEL] == 2
+    assert truth[PARAM_AD_AVAILABLE] is False
+    assert truth[PARAM_ROAD_MAX] == 2
+    assert truth[PARAM_SPEED] == 0.0
+    assert set(GROUND_TRUTH_PARAMETERS) <= set(truth)
 
 
 def test_switch_up_to_available_level_granted():
     machine, truth = make_machine(initial_level=2)
-    result = machine.transition(
-        TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_UP, target=4), now=5.0
-    )
+    result = machine.transition("switch_up", 4)
     assert result.granted and result.level_changed
     assert (result.previous_level, result.level) == (2, 4)
-    assert truth.get(PARAM_LEVEL) == 4
+    assert truth[PARAM_LEVEL] == 4
 
 
 def test_switch_up_defaults_to_current_max():
     machine, _ = make_machine(initial_level=0)
-    result = machine.transition(TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_UP), now=0.0)
+    result = machine.transition("switch_up", None)
     assert result.level == 4
 
 
 def test_switch_up_beyond_cap_rejected_without_level_change():
     machine, truth = make_machine(line=timeline((0, 100, 2)), initial_level=1)
-    result = machine.transition(
-        TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_UP, target=4), now=1.0
-    )
+    result = machine.transition("switch_up", 4)
     assert not result.granted and not result.level_changed
-    assert machine.state.level == 1
+    assert machine.level == 1
     assert "rejected" in result.note
-    assert truth.get(PARAM_LEVEL) == 1
+    assert truth[PARAM_LEVEL] == 1
 
 
 def test_switch_down_defaults_to_one_below():
     machine, _ = make_machine(initial_level=4)
-    result = machine.transition(TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_DOWN), now=0.0)
+    result = machine.transition("switch_down", None)
     assert (result.previous_level, result.level) == (4, 3)
 
 
 def test_switch_down_is_always_granted_and_never_raises_level():
     machine, _ = make_machine(initial_level=2)
-    result = machine.transition(
-        TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_DOWN, target=3), now=0.0
-    )
+    result = machine.transition("switch_down", 3)
     assert result.granted
     assert result.level == 2  # a "down" switch cannot go up
-    result = machine.transition(
-        TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_DOWN, target=0), now=0.0
-    )
+    result = machine.transition("switch_down", 0)
     assert result.level == 0
     # switching down at level 0 stays at 0
-    result = machine.transition(TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_DOWN), now=0.0)
+    result = machine.transition("switch_down", None)
     assert result.level == 0 and not result.level_changed
 
 
 def test_level_change_emits_bound_tasks():
     bindings = EventBindings(level_change={"any": ["level_change_msg"], 4: ["ad_on_msg"]})
     machine, _ = make_machine(initial_level=2, bindings=bindings)
-    result = machine.transition(
-        TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_UP, target=4), now=0.0
-    )
+    result = machine.transition("switch_up", 4)
     assert result.emitted == ["level_change_msg", "ad_on_msg"]
     # no-op change emits nothing
-    result = machine.transition(
-        TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_UP, target=4), now=1.0
-    )
+    result = machine.transition("switch_up", 4)
     assert not result.level_changed and result.emitted == []
 
 
@@ -270,40 +251,40 @@ def test_availability_drop_forces_downgrade_with_note():
         level_change={"any": ["level_change_msg"]},
     )
     machine, truth = make_machine(initial_level=4, bindings=bindings)
-    result = machine.on_boundary(RoadSegment(200, 300, 2), now=200.0)
+    result = machine.on_boundary(RoadSegment(200, 300, 2))
     assert result.level_changed
     assert (result.previous_level, result.level) == (4, 2)
     assert result.note == "forced downgrade"
     # drop emissions walk the crossed caps top-down, then the level change
     assert result.emitted == ["ad_off_msg", "l3_off_msg", "level_change_msg"]
-    assert truth.get(PARAM_ROAD_MAX) == 2
-    assert truth.get(PARAM_AD_AVAILABLE) is False
-    assert truth.get(PARAM_LEVEL) == 2
+    assert truth[PARAM_ROAD_MAX] == 2
+    assert truth[PARAM_AD_AVAILABLE] is False
+    assert truth[PARAM_LEVEL] == 2
 
 
 def test_availability_drop_below_current_level_only_notifies():
     machine, truth = make_machine(initial_level=2)
-    result = machine.on_boundary(RoadSegment(200, 300, 3), now=200.0)
+    result = machine.on_boundary(RoadSegment(200, 300, 3))
     assert not result.level_changed
-    assert machine.state.level == 2
-    assert truth.get(PARAM_ROAD_MAX) == 3
+    assert machine.level == 2
+    assert truth[PARAM_ROAD_MAX] == 3
 
 
 def test_availability_rise_emits_in_ascending_cap_order():
     bindings = EventBindings(availability_rise={3: ["l3_on"], 4: ["ad_on_a", "ad_on_b"]})
     machine, truth = make_machine(line=timeline((0, 100, 2), (100, 200, 4)), initial_level=2)
     machine.bindings = bindings
-    result = machine.on_boundary(RoadSegment(100, 200, 4), now=100.0)
+    result = machine.on_boundary(RoadSegment(100, 200, 4))
     assert result.emitted == ["l3_on", "ad_on_a", "ad_on_b"]
     assert not result.level_changed  # a rise never changes the level by itself
-    assert truth.get(PARAM_AD_AVAILABLE) is True
+    assert truth[PARAM_AD_AVAILABLE] is True
 
 
 def test_rise_skips_caps_not_newly_crossed():
     bindings = EventBindings(availability_rise={3: ["l3_on"], 4: ["ad_on"]})
     machine, _ = make_machine(line=timeline((0, 100, 3), (100, 200, 4)), initial_level=2)
     machine.bindings = bindings
-    result = machine.on_boundary(RoadSegment(100, 200, 4), now=100.0)
+    result = machine.on_boundary(RoadSegment(100, 200, 4))
     assert result.emitted == ["ad_on"]  # 3 was already available
 
 
@@ -311,36 +292,24 @@ def test_tor_fires_only_at_top_level():
     bindings = EventBindings(tor_early=["tor60_vocal"], tor_final=["tor10_haptic"])
     machine, _ = make_machine(initial_level=4, bindings=bindings)
     payload = TorPayload(phase=TorPhase.EARLY, boundary=200.0, segment_start=0.0)
-    active, emitted = machine.on_tor(payload, now=140.0)
+    active, emitted = machine.on_tor(payload)
     assert active and emitted == ["tor60_vocal"]
-    assert machine.state.tor_phase is TorPhase.EARLY
 
     final = TorPayload(phase=TorPhase.FINAL, boundary=200.0, segment_start=0.0)
-    active, emitted = machine.on_tor(final, now=190.0)
+    active, emitted = machine.on_tor(final)
     assert active and emitted == ["tor10_haptic"]
-    assert machine.state.tor_phase is TorPhase.FINAL
 
 
 def test_tor_is_stale_when_driver_already_took_over():
     bindings = EventBindings(tor_early=["tor60_vocal"])
     machine, _ = make_machine(initial_level=4, bindings=bindings)
-    machine.transition(TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_DOWN, target=2), now=100.0)
+    machine.transition("switch_down", 2)
     payload = TorPayload(phase=TorPhase.EARLY, boundary=200.0, segment_start=0.0)
-    active, emitted = machine.on_tor(payload, now=140.0)
+    active, emitted = machine.on_tor(payload)
     assert not active and emitted == []
-    assert machine.state.tor_phase is TorPhase.NONE
-
-
-def test_leaving_top_level_clears_tor_phase():
-    machine, _ = make_machine(initial_level=4)
-    machine.on_tor(TorPayload(TorPhase.FINAL, 200.0, 0.0), now=190.0)
-    assert machine.state.tor_phase is TorPhase.FINAL
-    machine.transition(TransitionEvent(kind=TransitionKind.DRIVER_SWITCH_DOWN), now=195.0)
-    assert machine.state.tor_phase is TorPhase.NONE
 
 
 def test_set_speed_mirrors_into_truth():
     machine, truth = make_machine()
     machine.set_speed(88.0)
-    assert machine.state.speed == 88.0
-    assert truth.get(PARAM_SPEED) == 88.0
+    assert truth[PARAM_SPEED] == 88.0
