@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hmisim.cli import main
 from hmisim.driver import ALL_LEVELS
-from hmisim.experiment import PlanError, load_plan
+from hmisim.experiment import PlanError, SerializeSignals, enumerate_moves, load_plan
 from hmisim.metrics import read_trace, write_trace
 from hmisim.replay import check_safety_rules, replay_metrics
 from hmisim.scenario import (
@@ -24,7 +24,7 @@ from hmisim.scenario import (
     cross_validate,
     load_scenario,
 )
-from hmisim.tasks import ConfigurationError, Initiator, load_elements
+from hmisim.tasks import ConfigurationError, Initiator, Violation, load_elements
 from hmisim.trial import run_trial
 from hmisim.vehicle import TorPhase
 
@@ -322,6 +322,123 @@ def test_machine_initiated_control_task_is_error(tmp_path, demo_config):
     assert any(
         v.severity == "error" and "must be driver-initiated" in v.message for v in issues
     )
+
+
+# Events and level keys are written out of order: every binding check reports in
+# event order (tor60, tor10, level_change, availability_rise, availability_drop),
+# and within an event in file order.
+SHUFFLED_GHOST_BINDINGS = """\
+bindings:
+  availability_drop:
+    4: [ghost_drop4]
+    2: [ghost_drop2]
+  level_change:
+    3: [ghost_level3]
+    any: [ghost_any]
+    1: [ghost_level1]
+  tor10: [ghost_tor10]
+  availability_rise:
+    4: [ghost_rise4]
+    1: [ghost_rise1]
+  tor60: [ghost_tor60]
+"""
+
+
+def test_binding_warnings_keep_spots_texts_and_order(tmp_path, demo_config):
+    scenario = load_scenario(write_scenario(tmp_path, MINIMAL + SHUFFLED_GHOST_BINDINGS))
+    issues = [v for v in cross_validate(scenario, demo_config) if v.where.startswith("bindings")]
+    expected = [
+        ("tor60", "ghost_tor60"),
+        ("tor10", "ghost_tor10"),
+        ("level_change[3]", "ghost_level3"),
+        ("level_change[any]", "ghost_any"),
+        ("level_change[1]", "ghost_level1"),
+        ("availability_rise[4]", "ghost_rise4"),
+        ("availability_rise[1]", "ghost_rise1"),
+        ("availability_drop[4]", "ghost_drop4"),
+        ("availability_drop[2]", "ghost_drop2"),
+    ]
+    assert issues == [
+        Violation("warning", f"bindings {spot}", f"bound task {name!r} is not in the catalog; skipped")
+        for spot, name in expected
+    ]
+
+
+def test_binding_parse_errors_keep_spots_texts_and_order(tmp_path):
+    body = MINIMAL + textwrap.dedent("""\
+        bindings:
+          on_crash: [x]
+          availability_drop:
+            4: drop4
+            7: [x]
+          level_change:
+            3: level3
+            any: anything
+          tor10: tor10
+          availability_rise:
+            up: [x]
+            1: rise1
+          tor60: tor60
+        """)
+    path = write_scenario(tmp_path, body)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    not_a_list = "expected a list of task names"
+    expected = [
+        ("tor60", not_a_list),
+        ("tor10", not_a_list),
+        ("level_change[3]", not_a_list),
+        ("level_change.any", not_a_list),
+        ("availability_rise", "automation level expected, got 'up'"),
+        ("availability_rise[1]", not_a_list),
+        ("availability_drop[4]", not_a_list),
+        ("availability_drop", "automation level 7 outside 0..4"),
+        ("", "unknown binding event 'on_crash'"),
+    ]
+    assert err.value.violations == [
+        Violation("error", f"{path} bindings {spot}".rstrip(), message) for spot, message in expected
+    ]
+
+
+def test_serialize_moves_follow_binding_event_order(tmp_path, demo_config):
+    scenario = load_scenario(
+        write_scenario(
+            tmp_path,
+            MINIMAL
+            + textwrap.dedent("""\
+                bindings:
+                  availability_drop:
+                    2: [tor10_haptic, level_change_msg]
+                  level_change:
+                    any: [level_change_msg, tor60_vocal]
+                    3: [tor60_vocal, ad_available_vocal]
+                  tor10: [tor10_haptic, drive_now_vocal]
+                  availability_rise:
+                    4: [ad_available_msg, ad_available_vocal]
+                    2: [ad_available_vocal, level_change_msg]
+                  tor60: [tor60_vocal, tor10_haptic]
+                """),
+        )
+    )
+    pairs = [
+        (m.first, m.second) for m in enumerate_moves(demo_config, scenario) if isinstance(m, SerializeSignals)
+    ]
+    # tor60, tor10, level_change by str(level) ("3" before "any"), then the
+    # availability rise and drop by ascending level; a pair is offered once.
+    assert pairs == [
+        ("tor60_vocal", "tor10_haptic"),
+        ("tor10_haptic", "tor60_vocal"),
+        ("tor10_haptic", "drive_now_vocal"),
+        ("tor60_vocal", "ad_available_vocal"),
+        ("ad_available_vocal", "tor60_vocal"),
+        ("level_change_msg", "tor60_vocal"),
+        ("tor60_vocal", "level_change_msg"),
+        ("ad_available_vocal", "level_change_msg"),
+        ("level_change_msg", "ad_available_vocal"),
+        ("ad_available_vocal", "ad_available_msg"),
+        ("tor10_haptic", "level_change_msg"),
+        ("level_change_msg", "tor10_haptic"),
+    ]
 
 
 # ---------------------------------------------------------------------------
