@@ -21,10 +21,12 @@ from typing import Any
 
 import numpy as np
 
+from .vehicle import MAX_LEVEL
+
 #: Shortest possible interval between two firings of one cognitive function.
 MIN_TRIGGER_INTERVAL = 0.001
 
-ALL_LEVELS = frozenset(range(5))
+ALL_LEVELS = frozenset(range(MAX_LEVEL + 1))
 
 
 @dataclass(frozen=True)

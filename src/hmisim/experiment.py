@@ -48,6 +48,7 @@ from .tasks import (
     validate,
 )
 from .trial import run_trial
+from .vehicle import BINDING_EVENTS
 from .workload import AttentionalChannel, ScaleCategory, perceptual_category
 
 DEFAULT_TRIALS = 20
@@ -362,8 +363,10 @@ def enumerate_moves(config: Configuration, scenario: Scenario) -> list[DesignMov
             moves.append(RemoveTask(task=task.name))
 
     seen_pairs: set[tuple[str, str]] = set()
-    for names in _binding_lists(scenario):
-        present = [n for n in names if n in tasks]
+    bindings = scenario.bindings
+    # Bound lists in event order, and within an event by str(level) ("any" after the digits).
+    for key in sorted(bindings, key=lambda key: (BINDING_EVENTS.index(key[0]), str(key[1]))):
+        present = [n for n in bindings[key] if n in tasks]
         for first in present:
             if tasks[first].triggers is not None:
                 continue
@@ -385,18 +388,6 @@ def enumerate_moves(config: Configuration, scenario: Scenario) -> list[DesignMov
                 moves.append(ReplaceDescriptor(task=task.name, slot="perceptual", descriptor=descriptor))
 
     return moves
-
-
-def _binding_lists(scenario: Scenario) -> Iterable[list[str]]:
-    bindings = scenario.bindings
-    yield bindings.tor_early
-    yield bindings.tor_final
-    for key in sorted(bindings.level_change, key=str):
-        yield bindings.level_change[key]
-    for key in sorted(bindings.availability_rise):
-        yield bindings.availability_rise[key]
-    for key in sorted(bindings.availability_drop):
-        yield bindings.availability_drop[key]
 
 
 def _chain_reaches(tasks: dict[str, Task], start: str, goal: str) -> bool:

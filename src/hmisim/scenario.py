@@ -20,6 +20,7 @@ from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_s
 from .tasks import Configuration, ConfigurationError, Initiator, Violation
 from .tasks import as_list, as_mapping, as_number, read_yaml
 from .vehicle import (
+    BINDING_EVENTS,
     GROUND_TRUTH_PARAMETERS,
     MAX_LEVEL,
     DwellParams,
@@ -36,30 +37,20 @@ MIN_INTERVAL = 0.1
 
 @dataclass(frozen=True)
 class SpeedScript:
-    """Piecewise-constant speed signal: constant, explicit steps, or a cycle."""
+    """Piecewise-constant speed signal: ``(time, value)`` steps from t = 0 (a
+    constant is one step), or, once ``period`` is set, ``values`` in a cycle."""
 
-    kind: str  # "constant" | "steps" | "cycle"
-    constant: float = 0.0
-    steps: tuple[tuple[float, float], ...] = ()
+    steps: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
     period: float = 0.0
     values: tuple[float, ...] = ()
 
     def initial_value(self) -> float:
-        if self.kind == "constant":
-            return self.constant
-        if self.kind == "steps":
-            return self.steps[0][1]
-        return self.values[0]
+        return self.values[0] if self.period else self.steps[0][1]
 
     def next_change(self, after: float) -> tuple[float, float] | None:
         """First (time, value) change strictly after ``after``, if any."""
-        if self.kind == "constant":
-            return None
-        if self.kind == "steps":
-            for t, v in self.steps:
-                if t > after:
-                    return (t, v)
-            return None
+        if not self.period:
+            return next((step for step in self.steps if step[0] > after), None)
         index = math.floor(after / self.period) + 1
         if index * self.period <= after:  # rounding can land that multiple at or before `after`
             index += 1
@@ -84,8 +75,7 @@ class VehicleSettings:
 @dataclass
 class Scenario:
     name: str
-    road_process: RoadProcessParams | None
-    fixed_timeline: RoadTimeline | None
+    road: RoadProcessParams | RoadTimeline
     speed: SpeedScript
     cognitive_functions: list[CognitiveFunction]
     bindings: EventBindings
@@ -110,7 +100,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(issues)
 
     name = str(raw.get("name", path.stem))
-    road_process, fixed_timeline = _parse_road(raw.get("road"), where, issues)
+    road = _parse_road(raw.get("road"), where, issues)
     speed = _parse_speed(raw.get("speed"), where, issues)
     functions = _parse_functions(raw.get("cognitive_functions"), where, issues)
     bindings = _parse_bindings(raw.get("bindings"), where, issues)
@@ -122,8 +112,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(issues)
     return Scenario(
         name=name,
-        road_process=road_process,
-        fixed_timeline=fixed_timeline,
+        road=road,
         speed=speed,
         cognitive_functions=functions,
         bindings=bindings,
@@ -135,11 +124,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _parse_road(
     raw: Any, where: str, issues: list[Violation]
-) -> tuple[RoadProcessParams | None, RoadTimeline | None]:
+) -> RoadProcessParams | RoadTimeline | None:
     where = f"{where} road"
     if not isinstance(raw, dict):
         issues.append(Violation("error", where, "scenario needs a 'road' section"))
-        return None, None
+        return None
     reported = len(issues)  # past this, a rejected section ends the road without follow-on errors
     if "fixed_segments" in raw:
         segments: list[RoadSegment] = []
@@ -153,22 +142,22 @@ def _parse_road(
             if start is not None and end is not None and level is not None:
                 segments.append(RoadSegment(start, end, level))
         if len(issues) > reported:
-            return None, None
+            return None
         if not segments:
             issues.append(Violation("error", where, "fixed_segments is empty"))
-            return None, None
+            return None
         try:
             timeline = RoadTimeline(segments=tuple(segments), horizon=segments[-1].end)
         except ValueError as exc:
             issues.append(Violation("error", where, str(exc)))
-            return None, None
-        return None, timeline
+            return None
+        return timeline
     if "process" not in raw:
         issues.append(Violation("error", where, "road needs 'process' or 'fixed_segments'"))
-        return None, None
+        return None
     proc = as_mapping(raw["process"], "process", where, issues)
     if len(issues) > reported:
-        return None, None
+        return None
     dwell: dict[int, DwellParams] = {}
     for key, entry in as_mapping(proc.get("dwell"), "dwell", where, issues).items():
         level = _parse_level(key, f"{where} dwell", issues)
@@ -207,14 +196,14 @@ def _parse_road(
         transitions[level] = out
     initial_level = _parse_level(proc.get("initial_level"), f"{where} process", issues)
     if initial_level is None:
-        return None, None
+        return None
     if check_dwell:
         if initial_level not in dwell:
             issues.append(Violation("error", where, f"initial level {initial_level} has no dwell parameters"))
         reachable = {t for row in transitions.values() for t in row}
         for level in sorted(reachable - dwell.keys()):
             issues.append(Violation("error", where, f"reachable level {level} has no dwell parameters"))
-    return RoadProcessParams(initial_level=initial_level, dwell=dwell, transitions=transitions), None
+    return RoadProcessParams(initial_level=initial_level, dwell=dwell, transitions=transitions)
 
 
 def _parse_level(key: Any, where: str, issues: list[Violation]) -> int | None:
@@ -231,7 +220,7 @@ def _parse_level(key: Any, where: str, issues: list[Violation]) -> int | None:
 
 def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
     where = f"{where} speed"
-    fallback = SpeedScript(kind="constant", constant=0.0)
+    fallback = SpeedScript()
     if raw is None:
         return fallback
     reported = len(issues)  # past this, a rejected section ends the speed without follow-on errors
@@ -240,7 +229,7 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         return fallback
     if "constant" in raw:
         constant = as_number(raw["constant"], "speed constant", where, issues)
-        return fallback if constant is None else SpeedScript(kind="constant", constant=constant)
+        return fallback if constant is None else SpeedScript(steps=((0.0, constant),))
     if "steps" in raw:
         steps: list[tuple[float, float]] = []
         for i, row in enumerate(as_list(raw["steps"], "steps", where, issues)):
@@ -259,7 +248,7 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         if not all(a[0] < b[0] for a, b in zip(steps, steps[1:])):
             issues.append(Violation("error", where, "speed step times must increase"))
             return fallback
-        return SpeedScript(kind="steps", steps=tuple(steps))
+        return SpeedScript(steps=tuple(steps))
     if "cycle" in raw:
         cycle = as_mapping(raw["cycle"], "cycle", where, issues)
         if len(issues) > reported:
@@ -274,7 +263,7 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
         if not values:
             issues.append(Violation("error", where, "cycle needs a non-empty values list"))
             return fallback
-        return SpeedScript(kind="cycle", period=period, values=values)
+        return SpeedScript(period=period, values=values)
     issues.append(Violation("error", where, "speed needs one of constant/steps/cycle"))
     return fallback
 
@@ -316,7 +305,7 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
 
 def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindings:
     where = f"{where} bindings"
-    bindings = EventBindings()
+    bindings: EventBindings = {}
     raw = as_mapping(raw, "bindings", where, issues)
 
     def names(value: Any, spot: str) -> list[str]:
@@ -327,23 +316,19 @@ def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindi
             return []
         return [str(v) for v in value]
 
-    bindings.tor_early = names(raw.get("tor60"), f"{where} tor60")
-    bindings.tor_final = names(raw.get("tor10"), f"{where} tor10")
-    for key, value in as_mapping(raw.get("level_change"), "level_change", where, issues).items():
-        if key == "any":
-            bindings.level_change["any"] = names(value, f"{where} level_change.any")
+    for event in BINDING_EVENTS:
+        if event in ("tor60", "tor10"):
+            bindings[event, None] = names(raw.get(event), f"{where} {event}")
             continue
-        level = _parse_level(key, f"{where} level_change", issues)
-        if level is not None:
-            bindings.level_change[level] = names(value, f"{where} level_change[{level}]")
-    for section in ("availability_rise", "availability_drop"):
-        for key, value in as_mapping(raw.get(section), section, where, issues).items():
-            level = _parse_level(key, f"{where} {section}", issues)
+        for key, value in as_mapping(raw.get(event), event, where, issues).items():
+            if event == "level_change" and key == "any":
+                bindings[event, key] = names(value, f"{where} level_change.any")
+                continue
+            level = _parse_level(key, f"{where} {event}", issues)
             if level is not None:
-                getattr(bindings, section)[level] = names(value, f"{where} {section}[{level}]")
-    known = {"tor60", "tor10", "level_change", "availability_rise", "availability_drop"}
+                bindings[event, level] = names(value, f"{where} {event}[{level}]")
     for key in raw:
-        if key not in known:
+        if key not in BINDING_EVENTS:
             issues.append(Violation("error", where, f"unknown binding event {key!r}"))
     return bindings
 
@@ -472,7 +457,8 @@ def cross_validate(scenario: Scenario, config: Configuration) -> list[Violation]
                 )
             )
 
-    def check_bound(names: list[str], spot: str) -> None:
+    for (event, level), names in scenario.bindings.items():
+        spot = f"bindings {event}" if level is None else f"bindings {event}[{level}]"
         for name in names:
             task = tasks.get(name)
             if task is None:
@@ -481,15 +467,6 @@ def cross_validate(scenario: Scenario, config: Configuration) -> list[Violation]
                 )
             elif task.initiator is not Initiator.MACHINE:
                 issues.append(Violation("error", spot, f"bound task {name!r} must be machine-initiated"))
-
-    check_bound(scenario.bindings.tor_early, "bindings tor60")
-    check_bound(scenario.bindings.tor_final, "bindings tor10")
-    for key, names in scenario.bindings.level_change.items():
-        check_bound(names, f"bindings level_change[{key}]")
-    for key, names in scenario.bindings.availability_rise.items():
-        check_bound(names, f"bindings availability_rise[{key}]")
-    for key, names in scenario.bindings.availability_drop.items():
-        check_bound(names, f"bindings availability_drop[{key}]")
 
     for name, control in scenario.controls.items():
         task = tasks.get(name)

@@ -274,16 +274,7 @@ def _fmt(value: float | int | str | None) -> str:
 # ---------------------------------------------------------------------------
 # element and scale files
 
-def load_elements(path: str | Path) -> dict[str, InterfaceElement]:
-    """Load the interface element catalog from a YAML file."""
-    issues: list[Violation] = []
-    elements = _load_elements_collect(Path(path), issues)
-    if any(v.severity == "error" for v in issues):
-        raise ConfigurationError([v for v in issues if v.severity == "error"])
-    return elements
-
-
-def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, InterfaceElement] | None:
+def _load_elements(path: Path, issues: list[Violation]) -> dict[str, InterfaceElement] | None:
     """The element catalog, or None after an error that leaves it without every element's name."""
     where = str(path)
     raw = read_yaml(path, "element", issues)
@@ -320,18 +311,7 @@ def _load_elements_collect(path: Path, issues: list[Violation]) -> dict[str, Int
     return elements if named else None
 
 
-def load_scale(path: str | Path | None) -> WorkloadScale:
-    """Load the workload scale: bundled defaults plus optional YAML overrides."""
-    if path is None:
-        return WorkloadScale()
-    issues: list[Violation] = []
-    scale = _load_scale_collect(Path(path), issues)
-    if issues:
-        raise ConfigurationError(issues)
-    return scale
-
-
-def _load_scale_collect(path: Path, issues: list[Violation]) -> WorkloadScale:
+def _load_scale(path: Path, issues: list[Violation]) -> WorkloadScale:
     where = str(path)
     raw = read_yaml(path, "scale", issues)
     if raw is None:
@@ -499,9 +479,9 @@ def load_configuration(
     errors: list[Violation] = []
     warnings: list[Violation] = []
 
-    elements = _load_elements_collect(Path(element_file), errors)
+    elements = _load_elements(Path(element_file), errors)
     if scale_file is not None:
-        scale = _load_scale_collect(Path(scale_file), errors)
+        scale = _load_scale(Path(scale_file), errors)
     else:
         scale = WorkloadScale()
 

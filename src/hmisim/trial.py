@@ -118,12 +118,11 @@ class _Trial:
         self.streams = RandomStreams(seed)
         self._uids = count(1)
 
-        if scenario.fixed_timeline is not None:
-            self.timeline = _clip_timeline(scenario.fixed_timeline, trial_length)
+        if isinstance(scenario.road, RoadTimeline):
+            self.timeline = _clip_timeline(scenario.road, trial_length)
         else:
-            assert scenario.road_process is not None
             self.timeline = generate_timeline(
-                scenario.road_process, self.streams.stream(ROAD_STREAM), trial_length
+                scenario.road, self.streams.stream(ROAD_STREAM), trial_length
             )
 
         self.truth: dict[str, Any] = {}

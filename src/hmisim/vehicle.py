@@ -167,23 +167,15 @@ class TransitionResult:
     note: str = ""
 
 
-@dataclass
-class EventBindings:
-    """Which machine tasks the cockpit emits on each vehicle event."""
+#: Vehicle events that emit bound machine tasks, in the order they are parsed and checked.
+BINDING_EVENTS = ("tor60", "tor10", "level_change", "availability_rise", "availability_drop")
 
-    tor_early: list[str] = field(default_factory=list)
-    tor_final: list[str] = field(default_factory=list)
-    level_change: dict[int | str, list[str]] = field(default_factory=dict)
-    availability_rise: dict[int, list[str]] = field(default_factory=dict)
-    availability_drop: dict[int, list[str]] = field(default_factory=dict)
+#: Machine tasks the cockpit emits per ``(event, level)``.  The level is None
+#: for ``tor60``/``tor10``, a level or ``"any"`` for ``level_change``, and the
+#: crossed cap for ``availability_rise``/``availability_drop``.
+EventBindings = dict[tuple[str, int | str | None], list[str]]
 
-    def for_level_change(self, new_level: int) -> list[str]:
-        emitted = list(self.level_change.get("any", []))
-        emitted.extend(self.level_change.get(new_level, []))
-        return emitted
-
-    def for_tor(self, phase: TorPhase) -> list[str]:
-        return list(self.tor_early if phase is TorPhase.EARLY else self.tor_final)
+_TOR_EVENTS = {TorPhase.EARLY: "tor60", TorPhase.FINAL: "tor10"}
 
 
 class AutomationStateMachine:
@@ -240,7 +232,8 @@ class AutomationStateMachine:
             level_changed=True,
             previous_level=previous,
             level=target,
-            emitted=self.bindings.for_level_change(target),
+            emitted=self.bindings.get(("level_change", "any"), [])
+            + self.bindings.get(("level_change", target), []),
         )
 
     def on_boundary(self, segment: RoadSegment) -> TransitionResult:
@@ -250,15 +243,13 @@ class AutomationStateMachine:
         new_max = self.current_max = segment.max_level
         self.truth[PARAM_ROAD_MAX] = new_max
         self.truth[PARAM_AD_AVAILABLE] = new_max == TOP_LEVEL
-        emitted: list[str] = []
-        if new_max > old_max:
-            for lvl in sorted(self.bindings.availability_rise):
-                if old_max < lvl <= new_max:
-                    emitted.extend(self.bindings.availability_rise[lvl])
-        elif new_max < old_max:
-            for lvl in sorted(self.bindings.availability_drop, reverse=True):
-                if new_max < lvl <= old_max:
-                    emitted.extend(self.bindings.availability_drop[lvl])
+        # Each newly crossed cap in crossing order: ascending on a rise, descending on a drop.
+        event, crossed = (
+            ("availability_rise", range(old_max + 1, new_max + 1))
+            if new_max > old_max
+            else ("availability_drop", range(old_max, new_max, -1))
+        )
+        emitted = [name for cap in crossed for name in self.bindings.get((event, cap), [])]
         if self.level <= new_max:
             return TransitionResult(
                 granted=True,
@@ -276,7 +267,7 @@ class AutomationStateMachine:
         """Apply a take-over request; emits only if the vehicle is in AD."""
         if self.level != TOP_LEVEL:
             return False, []
-        return True, self.bindings.for_tor(payload.phase)
+        return True, self.bindings.get((_TOR_EVENTS[payload.phase], None), [])
 
     def set_speed(self, value: float) -> None:
         self.truth[PARAM_SPEED] = value

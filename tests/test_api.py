@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -18,6 +19,18 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name", hmisim.__all__)
 def test_every_exported_name_resolves(name):
     assert getattr(hmisim, name) is not None
+
+
+def test_every_imported_name_is_exported():
+    tree = ast.parse(Path(hmisim.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert imported
+    assert sorted(imported - set(hmisim.__all__)) == []
 
 
 @pytest.fixture

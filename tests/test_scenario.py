@@ -24,9 +24,9 @@ from hmisim.scenario import (
     cross_validate,
     load_scenario,
 )
-from hmisim.tasks import ConfigurationError, Initiator, Violation, load_elements
+from hmisim.tasks import ConfigurationError, Initiator, Violation, load_configuration
 from hmisim.trial import run_trial
-from hmisim.vehicle import TorPhase
+from hmisim.vehicle import RoadProcessParams, RoadSegment, RoadTimeline
 
 
 def write_scenario(tmp_path, body):
@@ -47,13 +47,13 @@ road:
 
 
 def test_speed_constant():
-    script = SpeedScript(kind="constant", constant=50.0)
+    script = SpeedScript(steps=((0.0, 50.0),))
     assert script.initial_value() == 50.0
     assert script.next_change(0.0) is None
 
 
 def test_speed_steps():
-    script = SpeedScript(kind="steps", steps=((0.0, 30.0), (10.0, 50.0), (25.0, 80.0)))
+    script = SpeedScript(steps=((0.0, 30.0), (10.0, 50.0), (25.0, 80.0)))
     assert script.initial_value() == 30.0
     assert script.next_change(0.0) == (10.0, 50.0)
     assert script.next_change(10.0) == (25.0, 80.0)
@@ -61,7 +61,7 @@ def test_speed_steps():
 
 
 def test_speed_cycle_wraps_values():
-    script = SpeedScript(kind="cycle", period=120.0, values=(50.0, 70.0, 90.0))
+    script = SpeedScript(period=120.0, values=(50.0, 70.0, 90.0))
     assert script.initial_value() == 50.0
     assert script.next_change(0.0) == (120.0, 70.0)
     assert script.next_change(120.0) == (240.0, 90.0)
@@ -69,7 +69,7 @@ def test_speed_cycle_wraps_values():
     # mid-interval queries round up to the next boundary
     assert script.next_change(117.0) == (120.0, 70.0)
     # a period with inexact multiples still moves strictly forward (4.3 / 0.1 rounds to 42.99...)
-    tenth = SpeedScript(kind="cycle", period=0.1, values=(1.0, 2.0))
+    tenth = SpeedScript(period=0.1, values=(1.0, 2.0))
     assert tenth.next_change(43 * 0.1) == (44 * 0.1, 1.0)
 
 
@@ -80,9 +80,8 @@ def test_speed_cycle_wraps_values():
 def test_load_minimal_scenario_defaults(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, MINIMAL))
     assert scenario.name == "scenario"
-    assert scenario.fixed_timeline is not None
-    assert scenario.road_process is None
-    assert scenario.speed.kind == "constant"
+    assert scenario.road == RoadTimeline(segments=(RoadSegment(0.0, 100.0, 2),), horizon=100.0)
+    assert scenario.speed == SpeedScript(steps=((0.0, 0.0),))  # constant 0
     assert scenario.cognitive_functions == []
     assert scenario.controls == {}
     assert scenario.awareness == {}
@@ -132,11 +131,11 @@ def test_load_full_scenario(tmp_path):
         )
     )
     assert scenario.name == "full"
-    assert scenario.road_process is not None
-    assert scenario.road_process.initial_level == 2
-    assert scenario.road_process.dwell[4].minimum == 90
-    assert scenario.road_process.transitions[2] == {4: 1.0}
-    assert scenario.speed.kind == "cycle"
+    assert isinstance(scenario.road, RoadProcessParams)
+    assert scenario.road.initial_level == 2
+    assert scenario.road.dwell[4].minimum == 90
+    assert scenario.road.transitions[2] == {4: 1.0}
+    assert scenario.speed == SpeedScript(period=120.0, values=(50.0, 70.0))
 
     by_name = {f.name: f for f in scenario.cognitive_functions}
     assert by_name["speed_check"].sigma == 5
@@ -144,10 +143,12 @@ def test_load_full_scenario(tmp_path):
     assert by_name["mirror_scan"].sigma == 6.25  # defaults to mean / 4
     assert by_name["mirror_scan"].enabled_levels == frozenset({0, 1, 2})
 
-    assert scenario.bindings.for_tor(TorPhase.EARLY) == ["tor60_vocal"]
-    assert scenario.bindings.for_tor(TorPhase.FINAL) == ["tor10_haptic"]
-    assert scenario.bindings.for_level_change(3) == ["level_change_msg"]
-    assert scenario.bindings.availability_rise == {4: ["ad_available_msg"]}
+    assert scenario.bindings == {
+        ("tor60", None): ["tor60_vocal"],
+        ("tor10", None): ["tor10_haptic"],
+        ("level_change", "any"): ["level_change_msg"],
+        ("availability_rise", 4): ["ad_available_msg"],
+    }
 
     assert scenario.controls["activate_ad"] == ControlBinding("switch_up", 4)
     assert scenario.controls["take_over"] == ControlBinding("switch_down", None)
@@ -625,7 +626,7 @@ def test_generated_element_file_or_plan_is_loaded_or_rejected(generated, target,
     file.write_text(yaml.safe_dump(replaced(document, path, value)))
     if kind == "elements":
         with contextlib.suppress(ConfigurationError):
-            load_elements(file)
+            load_configuration(PKG_DATA / "demo_tasks.csv", file)
         argv = [
             "validate", "--tasks", str(PKG_DATA / "demo_tasks.csv"), "--elements", str(file),
             "--scenario", str(PKG_DATA / "demo_scenario.yaml"),

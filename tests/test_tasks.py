@@ -23,8 +23,6 @@ from hmisim.tasks import (
     Task,
     copy_configuration,
     load_configuration,
-    load_elements,
-    load_scale,
     validate,
     write_tasks_csv,
 )
@@ -305,10 +303,22 @@ def test_unrecognized_channel_is_an_error(tmp_path):
 # element and scale YAML
 
 
+ELEMENTS = "elements:\n  - {name: hud, on_road: true, gaze_time: 0.1}\n  - {name: knob}\n"
+
+
+def load_files(tmp_path, elements=ELEMENTS, scale=None):
+    """``load_configuration`` on an empty task catalog, the given element file and optional scale file."""
+    (tmp_path / "tasks.csv").write_text("")
+    (tmp_path / "e.yaml").write_text(elements)
+    scale_file = None
+    if scale is not None:
+        scale_file = tmp_path / "scale.yaml"
+        scale_file.write_text(scale)
+    return load_configuration(tmp_path / "tasks.csv", tmp_path / "e.yaml", scale_file)
+
+
 def test_load_elements(tmp_path):
-    path = tmp_path / "e.yaml"
-    path.write_text("elements:\n  - {name: hud, on_road: true, gaze_time: 0.1}\n  - {name: knob}\n")
-    elements = load_elements(path)
+    elements = load_files(tmp_path).elements
     assert elements["hud"] == InterfaceElement("hud", True, 0.1)
     assert elements["knob"] == InterfaceElement("knob", False, 0.0)
 
@@ -323,20 +333,17 @@ def test_load_elements(tmp_path):
     ],
 )
 def test_bad_element_files_raise(tmp_path, body):
-    path = tmp_path / "e.yaml"
-    path.write_text(body)
-    with pytest.raises(ConfigurationError):
-        load_elements(path)
+    with pytest.raises(ConfigurationError) as err:
+        load_files(tmp_path, elements=body)
+    assert all(v.where.startswith(str(tmp_path / "e.yaml")) for v in err.value.violations)
 
 
-def test_load_scale_none_returns_defaults():
-    assert load_scale(None).entries == DEFAULT_SCALE_ENTRIES
+def test_no_scale_file_gives_defaults(tmp_path):
+    assert load_files(tmp_path).scale.entries == DEFAULT_SCALE_ENTRIES
 
 
 def test_load_scale_overrides(tmp_path):
-    path = tmp_path / "scale.yaml"
-    path.write_text("scale:\n  visual:\n    Read (text): 6.5\n    Squint: 2.0\n")
-    scale = load_scale(path)
+    scale = load_files(tmp_path, scale="scale:\n  visual:\n    Read (text): 6.5\n    Squint: 2.0\n").scale
     assert scale.lookup(ScaleCategory.VISUAL, "Read (text)") == 6.5
     assert scale.lookup(ScaleCategory.VISUAL, "Squint") == 2.0
     assert scale.lookup(ScaleCategory.COGNITIVE, "Simple association") == 1.0
@@ -353,10 +360,9 @@ def test_load_scale_overrides(tmp_path):
     ],
 )
 def test_bad_scale_files_raise(tmp_path, body):
-    path = tmp_path / "scale.yaml"
-    path.write_text(body)
-    with pytest.raises(ConfigurationError):
-        load_scale(path)
+    with pytest.raises(ConfigurationError) as err:
+        load_files(tmp_path, scale=body)
+    assert all(v.where == str(tmp_path / "scale.yaml") for v in err.value.violations)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hmisim.vehicle import (
     PARAM_SPEED,
     AutomationStateMachine,
     DwellParams,
-    EventBindings,
     RoadProcessParams,
     RoadSegment,
     RoadTimeline,
@@ -178,7 +177,7 @@ def make_machine(line=None, initial_level=4, bindings=None):
     machine = AutomationStateMachine(
         timeline=line or timeline((0, 200, 4), (200, 300, 2)),
         initial_level=initial_level,
-        bindings=bindings or EventBindings(),
+        bindings=bindings or {},
         truth=truth,
     )
     return machine, truth
@@ -236,7 +235,8 @@ def test_switch_down_is_always_granted_and_never_raises_level():
 
 
 def test_level_change_emits_bound_tasks():
-    bindings = EventBindings(level_change={"any": ["level_change_msg"], 4: ["ad_on_msg"]})
+    # "any" comes first whatever the table's order
+    bindings = {("level_change", 4): ["ad_on_msg"], ("level_change", "any"): ["level_change_msg"]}
     machine, _ = make_machine(initial_level=2, bindings=bindings)
     result = machine.transition("switch_up", 4)
     assert result.emitted == ["level_change_msg", "ad_on_msg"]
@@ -246,10 +246,11 @@ def test_level_change_emits_bound_tasks():
 
 
 def test_availability_drop_forces_downgrade_with_note():
-    bindings = EventBindings(
-        availability_drop={4: ["ad_off_msg"], 3: ["l3_off_msg"]},
-        level_change={"any": ["level_change_msg"]},
-    )
+    bindings = {
+        ("availability_drop", 3): ["l3_off_msg"],
+        ("availability_drop", 4): ["ad_off_msg"],
+        ("level_change", "any"): ["level_change_msg"],
+    }
     machine, truth = make_machine(initial_level=4, bindings=bindings)
     result = machine.on_boundary(RoadSegment(200, 300, 2))
     assert result.level_changed
@@ -271,7 +272,7 @@ def test_availability_drop_below_current_level_only_notifies():
 
 
 def test_availability_rise_emits_in_ascending_cap_order():
-    bindings = EventBindings(availability_rise={3: ["l3_on"], 4: ["ad_on_a", "ad_on_b"]})
+    bindings = {("availability_rise", 4): ["ad_on_a", "ad_on_b"], ("availability_rise", 3): ["l3_on"]}
     machine, truth = make_machine(line=timeline((0, 100, 2), (100, 200, 4)), initial_level=2)
     machine.bindings = bindings
     result = machine.on_boundary(RoadSegment(100, 200, 4))
@@ -281,7 +282,7 @@ def test_availability_rise_emits_in_ascending_cap_order():
 
 
 def test_rise_skips_caps_not_newly_crossed():
-    bindings = EventBindings(availability_rise={3: ["l3_on"], 4: ["ad_on"]})
+    bindings = {("availability_rise", 3): ["l3_on"], ("availability_rise", 4): ["ad_on"]}
     machine, _ = make_machine(line=timeline((0, 100, 3), (100, 200, 4)), initial_level=2)
     machine.bindings = bindings
     result = machine.on_boundary(RoadSegment(100, 200, 4))
@@ -289,7 +290,7 @@ def test_rise_skips_caps_not_newly_crossed():
 
 
 def test_tor_fires_only_at_top_level():
-    bindings = EventBindings(tor_early=["tor60_vocal"], tor_final=["tor10_haptic"])
+    bindings = {("tor60", None): ["tor60_vocal"], ("tor10", None): ["tor10_haptic"]}
     machine, _ = make_machine(initial_level=4, bindings=bindings)
     payload = TorPayload(phase=TorPhase.EARLY, boundary=200.0, segment_start=0.0)
     active, emitted = machine.on_tor(payload)
@@ -301,7 +302,7 @@ def test_tor_fires_only_at_top_level():
 
 
 def test_tor_is_stale_when_driver_already_took_over():
-    bindings = EventBindings(tor_early=["tor60_vocal"])
+    bindings = {("tor60", None): ["tor60_vocal"]}
     machine, _ = make_machine(initial_level=4, bindings=bindings)
     machine.transition("switch_down", 2)
     payload = TorPayload(phase=TorPhase.EARLY, boundary=200.0, segment_start=0.0)
