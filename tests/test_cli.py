@@ -624,6 +624,73 @@ def test_worker_error_reads_the_same_at_any_jobs(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# flags and plans: load order, design names, seeds
+
+
+@pytest.mark.parametrize("command", ["compare", "optimize"])
+def test_bad_design_file_is_reported_before_a_bad_trials_flag(tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    if command == "compare":
+        extra = ["--tasks-b", str(DATA / "scripted_tasks.csv")]
+    else:
+        extra = ["--sa-floor", "75", "--budget", "0"]
+    code = main([
+        command, "--tasks", str(missing), "--elements", str(DATA / "scripted_elements.yaml"),
+        *SCRIPTED_SCENARIO, *extra, "--trials", "0", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert one_error(capsys.readouterr().err) == f"error: {missing}: task file not found"
+
+
+def test_optimize_bad_design_file_is_reported_before_a_missing_floor(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code = main([
+        "optimize", "--tasks", str(missing), "--elements", str(DATA / "scripted_elements.yaml"),
+        *SCRIPTED_SCENARIO, "--budget", "0", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert one_error(capsys.readouterr().err) == f"error: {missing}: task file not found"
+
+
+def test_compare_equal_task_file_stems_name_the_designs_a_and_b(tmp_path, capsys):
+    task_files = []
+    for design in ("first", "second"):
+        (tmp_path / design).mkdir()
+        task_files.append(tmp_path / design / "tasks.csv")
+        task_files[-1].write_bytes((DATA / "scripted_tasks.csv").read_bytes())
+    code = main([
+        "compare", "--tasks", str(task_files[0]), "--tasks-b", str(task_files[1]),
+        "--elements", str(DATA / "scripted_elements.yaml"), *SCRIPTED_SCENARIO,
+        "--trials", "1", "--length", "100", "--out", str(tmp_path / "out"),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["A", "B"]
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == ["A", "B"]
+
+
+def test_seed_flag_with_the_demo_plan_counts_up_its_trials(tmp_path, capsys):
+    code = main([
+        "compare", "--plan", str(PKG_DATA / "demo_plan.yaml"),
+        "--seed", "5", "--length", "100", "--out", str(tmp_path),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    paired = (tmp_path / "paired.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in paired] == [str(seed) for seed in range(5, 25)]
+
+
+def test_seeds_file_shorter_than_the_demo_plan_trials_is_one_error(tmp_path, capsys):
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("7\n9\n")
+    argv = ["--plan", str(PKG_DATA / "demo_plan.yaml"), "--seeds-file", str(seeds_file)]
+    assert main(["compare", *argv, "--out", str(tmp_path / "out")]) == 1
+    assert one_error(capsys.readouterr().err) == "error: seeds: 20 trials need 20 seeds, got 2"
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
 # optimize
 
 

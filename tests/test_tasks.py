@@ -21,6 +21,7 @@ from hmisim.tasks import (
     Initiator,
     InterfaceElement,
     Task,
+    Violation,
     copy_configuration,
     load_configuration,
     validate,
@@ -426,6 +427,17 @@ def test_validate_trigger_cycle_detected():
     c = make_task(name="c", triggers="a")
     issues = validate(make_config([a, b, c]))
     assert any("trigger chain forms a cycle" in v.message for v in issues)
+
+
+def test_validate_reports_each_trigger_cycle_once_from_where_it_closes():
+    tail = make_task(name="tail", triggers="a")
+    a = make_task(name="a", triggers="b")
+    b = make_task(name="b", triggers="a")
+    c = make_task(name="c", triggers="c")
+    assert validate(make_config([tail, a, b, c])) == [
+        Violation("error", "task a", "trigger chain forms a cycle: a -> b -> a"),
+        Violation("error", "task c", "trigger chain forms a cycle: c -> c"),
+    ]
 
 
 def test_validate_self_trigger_cycle():
