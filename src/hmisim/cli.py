@@ -26,6 +26,7 @@ from .experiment import (
     DEFAULT_TRIALS,
     MAX_TRIALS,
     ExperimentPlan,
+    NamedConfiguration,
     ObjectiveWeights,
     PlanError,
     SearchResult,
@@ -44,7 +45,7 @@ from .metrics import (
     write_timeline_csv,
     write_trace,
 )
-from .scenario import cross_validate, load_scenario
+from .scenario import Scenario, cross_validate, load_scenario
 from .tasks import (
     Configuration,
     ConfigurationError,
@@ -87,27 +88,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("--scenario", help="scenario YAML to cross-validate (optional)")
     p_validate.set_defaults(handler=_cmd_validate)
 
-    p_run = sub.add_parser("run", help="run one seeded trial and write its artifacts")
-    add_config_flags(p_run, required=True)
-    p_run.add_argument("--scenario", required=True, help="scenario YAML")
-    p_run.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p_run.add_argument(
-        "--length", type=float, default=DEFAULT_TRIAL_LENGTH,
-        help=f"trial length in seconds (default {DEFAULT_TRIAL_LENGTH:g})",
-    )
-    add_out_flag(p_run)
-    p_run.set_defaults(handler=_cmd_run)
-
-    p_export = sub.add_parser("export-trace", help="run one trial, export trace + timeline CSV")
-    add_config_flags(p_export, required=True)
-    p_export.add_argument("--scenario", required=True, help="scenario YAML")
-    p_export.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p_export.add_argument(
-        "--length", type=float, default=DEFAULT_TRIAL_LENGTH,
-        help=f"trial length in seconds (default {DEFAULT_TRIAL_LENGTH:g})",
-    )
-    add_out_flag(p_export)
-    p_export.set_defaults(handler=_cmd_export_trace)
+    for name, summary in (
+        ("run", "run one seeded trial and write its artifacts"),
+        ("export-trace", "run one trial, export trace + timeline CSV"),
+    ):
+        p_trial = sub.add_parser(name, help=summary)
+        add_config_flags(p_trial, required=True)
+        p_trial.add_argument("--scenario", required=True, help="scenario YAML")
+        p_trial.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+        p_trial.add_argument(
+            "--length", type=float, default=DEFAULT_TRIAL_LENGTH,
+            help=f"trial length in seconds (default {DEFAULT_TRIAL_LENGTH:g})",
+        )
+        add_out_flag(p_trial)
+        p_trial.set_defaults(handler=_cmd_run)
 
     p_compare = sub.add_parser("compare", help="paired A/B comparison of two designs")
     p_compare.add_argument("--plan", help="experiment plan YAML (first two configurations)")
@@ -201,6 +195,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     result = run_trial(config, scenario, args.seed, args.length)
     out = _out_dir(args)
+    if args.subcommand == "export-trace":
+        write_trace(result.records, out / "trace.jsonl")
+        write_timeline_csv(result.records, out / "timeline.csv")
+        print(f"{len(result.records)} trace records -> {out / 'trace.jsonl'}, {out / 'timeline.csv'}")
+        return 0
     write_metrics_csv([result.metrics], out / "metrics.csv")
     write_trace(result.records, out / "trace.jsonl")
     write_counts_csv(result.metrics.per_task_counts, out / "task_counts.csv")
@@ -209,40 +208,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_trace(args: argparse.Namespace) -> int:
-    config = load_configuration(args.tasks, args.elements, args.scale)
-    scenario = load_scenario(args.scenario)
-    result = run_trial(config, scenario, args.seed, args.length)
-    out = _out_dir(args)
-    write_trace(result.records, out / "trace.jsonl")
-    write_timeline_csv(result.records, out / "timeline.csv")
-    print(f"{len(result.records)} trace records -> {out / 'trace.jsonl'}, {out / 'timeline.csv'}")
-    return 0
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan) if args.plan else None
-    if plan is not None:
-        if len(plan.configurations) < 2:
-            message = "compare needs a plan with at least two configurations"
-            raise PlanError([Violation("error", args.plan, message)])
-        named_a, named_b = plan.configurations[0], plan.configurations[1]
-        config_a, config_b = named_a.load(), named_b.load()
-        scenario = plan.load_scenario()
-        name_a, name_b = named_a.name, named_b.name
-    else:
-        if not (args.tasks and args.tasks_b and args.elements and args.scenario):
-            raise UsageError("compare needs --plan or --tasks/--tasks-b/--elements/--scenario")
-        config_a = load_configuration(args.tasks, args.elements, args.scale)
-        config_b = load_configuration(args.tasks_b, args.elements, args.scale)
-        scenario = load_scenario(args.scenario)
-        name_a, name_b = Path(args.tasks).stem, Path(args.tasks_b).stem
-        if name_a == name_b:
-            name_a, name_b = "A", "B"
-    seeds, length, jobs = _batch_settings(args, plan)
-
+    plan, (config_a, config_b), scenario = _resolve_plan(args)
+    name_a, name_b = (named.name for named in plan.configurations[:2])
     result = compare(
-        config_a, config_b, scenario, seeds, length, jobs=jobs, name_a=name_a, name_b=name_b
+        config_a, config_b, scenario, plan.master_seeds, plan.trial_length,
+        jobs=plan.jobs, name_a=name_a, name_b=name_b,
     )
     out = _out_dir(args)
     write_summary_csv(result.summaries(), out / "summary.csv")
@@ -255,43 +226,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    plan = load_plan(args.plan) if args.plan else None
-    if plan is not None:
-        named = plan.configurations[0]
-        config = named.load()
-        scenario = plan.load_scenario()
-    else:
-        if not (args.tasks and args.elements and args.scenario):
-            raise UsageError("optimize needs --plan or --tasks/--elements/--scenario")
-        config = load_configuration(args.tasks, args.elements, args.scale)
-        scenario = load_scenario(args.scenario)
-    seeds, length, jobs = _batch_settings(args, plan)
-
-    sa_floor = args.sa_floor if args.sa_floor is not None else (plan.sa_floor if plan else None)
-    if sa_floor is None:
-        raise UsageError("optimize needs --sa-floor (there is no endorsed default)")
-    issues: list[Violation] = []  # a plan's floor and budget are checked by load_plan
-    if args.sa_floor is not None:
-        if as_number(args.sa_floor, "--sa-floor", "optimize", issues, at_least=0, at_most=100) is None:
-            raise UsageError(issues[0].message)
-    budget = args.budget if args.budget is not None else (plan.budget if plan else None)
-    if budget is None:
-        raise UsageError("optimize needs --budget (candidate evaluation limit)")
-    if args.budget is not None:
-        if as_integer(args.budget, "--budget", "optimize", issues, at_least=0) is None:
-            raise ConfigurationError(issues)
-    if args.weights is not None:
-        weights = _parse_weights(args.weights)
-    else:
-        weights = plan.weights if plan else ObjectiveWeights()
-
+    plan, (config,), scenario = _resolve_plan(args)
     result = local_search(
-        config, scenario, seeds, length,
-        sa_floor=sa_floor, budget=budget, weights=weights, jobs=jobs,
+        config, scenario, plan.master_seeds, plan.trial_length,
+        sa_floor=plan.sa_floor, budget=plan.budget, weights=plan.weights, jobs=plan.jobs,
     )
     out = _out_dir(args)
     write_tasks_csv(result.config, out / "optimized_tasks.csv")
-    _write_moves_log(result, out / "moves.log", sa_floor, budget, weights)
+    _write_moves_log(result, out / "moves.log", plan)
     if result.initial_metrics is not None and result.final_metrics is not None:
         summaries = {
             "initial": aggregate(result.initial_metrics),
@@ -307,10 +249,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         if record.accepted:
             print(record.describe())
     assert result.objective is not None and result.initial_objective is not None
+    weights = plan.weights
     print(
         f"{result.evaluations} candidate evaluation(s), {len(result.accepted_moves)} accepted move(s); "
         f"weighted score {result.initial_objective.score(weights)!r} -> {result.objective.score(weights)!r}, "
-        f"median sa {result.objective.sa_average!r} (floor {sa_floor:g}, "
+        f"median sa {result.objective.sa_average!r} (floor {plan.sa_floor:g}, "
         f"{'feasible' if result.feasible else 'infeasible'})"
     )
     return 0
@@ -346,10 +289,39 @@ def _read_seeds_file(path: str) -> list[int]:
     return seeds
 
 
-def _batch_settings(
-    args: argparse.Namespace, plan: ExperimentPlan | None
-) -> tuple[list[int], float, int]:
-    """Resolve (seeds, trial length, jobs); flags override the plan, which ``load_plan`` checked."""
+def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Configuration], Scenario]:
+    """The final plan of a ``compare``/``optimize`` call, with its designs and scenario loaded.
+
+    The plan is the ``--plan`` file or one built from the design and scenario flags.
+    Its designs and scenario load before any flag value is checked; then each flag
+    given overrides the plan, and ``master_seeds`` holds exactly the batch seeds.
+    """
+    designs = 2 if args.subcommand == "compare" else 1
+    if args.plan:
+        plan = load_plan(args.plan)
+        if len(plan.configurations) < designs:
+            message = "compare needs a plan with at least two configurations"
+            raise PlanError([Violation("error", args.plan, message)])
+    else:
+        task_files = [args.tasks, getattr(args, "tasks_b", None)][:designs]
+        if not (all(task_files) and args.elements and args.scenario):
+            needs = "/".join(["--tasks", "--tasks-b"][:designs] + ["--elements", "--scenario"])
+            raise UsageError(f"{args.subcommand} needs --plan or {needs}")
+        stems = [Path(tasks).stem for tasks in task_files]
+        names = ["A", "B"] if len(set(stems)) < designs else stems
+        scale = None if args.scale is None else Path(args.scale)
+        plan = ExperimentPlan(
+            name=args.subcommand,
+            scenario_path=Path(args.scenario),
+            configurations=[
+                NamedConfiguration(name, Path(tasks), Path(args.elements), scale)
+                for name, tasks in zip(names, task_files)
+            ],
+            master_seeds=[],  # no plan seeds: the seed flags, or 1..trials, choose them
+        )
+    configs = [named.load() for named in plan.configurations[:designs]]
+    scenario = plan.load_scenario()
+
     trials = args.trials
     issues: list[Violation] = []
     if trials is not None:
@@ -362,39 +334,50 @@ def _batch_settings(
         raise ConfigurationError(issues)
     if args.seeds_file:
         seeds = _read_seeds_file(args.seeds_file)
-    elif args.seed is not None:
-        count = trials if trials is not None else (plan.trials_per_config if plan else DEFAULT_TRIALS)
-        seeds = list(range(args.seed, args.seed + count))
-    elif plan is not None:
-        seeds = list(plan.master_seeds)
+    elif args.seed is not None or not plan.master_seeds:
+        first = 1 if args.seed is None else args.seed
+        seeds = list(range(first, first + (plan.trials_per_config if trials is None else trials)))
     else:
-        seeds = list(range(1, (trials if trials is not None else DEFAULT_TRIALS) + 1))
-    if trials is None:
-        trials = plan.trials_per_config if plan else len(seeds)
+        seeds = plan.master_seeds
+    if trials is None:  # a plan without seeds runs one trial per seed it is given
+        trials = plan.trials_per_config if plan.master_seeds else len(seeds)
     if len(seeds) < trials:
         raise ConfigurationError(
             [Violation("error", "seeds", f"{trials} trials need {trials} seeds, got {len(seeds)}")]
         )
-    seeds = seeds[:trials]
-    length = args.length if args.length is not None else (plan.trial_length if plan else DEFAULT_TRIAL_LENGTH)
-    jobs = args.jobs if args.jobs is not None else (plan.jobs if plan else 1)
-    return seeds, float(length), jobs
+    plan.master_seeds, plan.trials_per_config = seeds[:trials], trials
+    if args.length is not None:
+        plan.trial_length = args.length
+    if args.jobs is not None:
+        plan.jobs = args.jobs
+    if args.subcommand == "compare":
+        return plan, configs, scenario
+
+    if args.sa_floor is not None:
+        plan.sa_floor = as_number(args.sa_floor, "--sa-floor", "optimize", issues, at_least=0, at_most=100)
+    if plan.sa_floor is None:  # a bad --sa-floor, or none here or in the plan
+        raise UsageError(issues[0].message if issues else "optimize needs --sa-floor (there is no endorsed default)")
+    if args.budget is not None:
+        plan.budget = as_integer(args.budget, "--budget", "optimize", issues, at_least=0)
+    if issues:
+        raise ConfigurationError(issues)
+    if plan.budget is None:
+        raise UsageError("optimize needs --budget (candidate evaluation limit)")
+    if args.weights is not None:
+        parts = args.weights.split(",")
+        if len(parts) != 3:
+            raise UsageError("--weights needs exactly three comma-separated numbers")
+        try:
+            plan.weights = ObjectiveWeights(*(float(p) for p in parts))
+        except ValueError as exc:
+            raise UsageError(f"bad --weights: {exc}") from None
+    return plan, configs, scenario
 
 
-def _parse_weights(text: str) -> ObjectiveWeights:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError("--weights needs exactly three comma-separated numbers")
-    try:
-        cognitive, perceptual, eyes = (float(p) for p in parts)
-        return ObjectiveWeights(cognitive=cognitive, perceptual=perceptual, eyes_off=eyes)
-    except ValueError as exc:
-        raise UsageError(f"bad --weights: {exc}") from None
+def _write_moves_log(result: SearchResult, path: Path, plan: ExperimentPlan) -> None:
+    sa_floor, weights = plan.sa_floor, plan.weights
+    assert sa_floor is not None
 
-
-def _write_moves_log(
-    result: SearchResult, path: Path, sa_floor: float, budget: int, weights: ObjectiveWeights
-) -> None:
     def describe_point(point) -> str:
         return (
             f"cog={point.cognitive_overload!r} perc={point.perceptual_overload!r} "
@@ -403,7 +386,7 @@ def _write_moves_log(
         )
 
     lines = [
-        f"# local search: budget {budget}, sa floor {sa_floor:g}, "
+        f"# local search: budget {plan.budget}, sa floor {sa_floor:g}, "
         f"weights cog={weights.cognitive:g} perc={weights.perceptual:g} eyes={weights.eyes_off:g}",
     ]
     if result.initial_objective is None:
