@@ -568,29 +568,28 @@ def validate(config: Configuration) -> list[Violation]:
 
 
 def _trigger_cycles(config: Configuration) -> list[Violation]:
-    """Detect cycles in the follow-up (triggers) graph."""
+    """Detect cycles in the follow-up (triggers) graph.
+
+    Each task has at most one follow-up, so a walk from each task not yet
+    visited runs along one chain until it leaves the catalog, meets a task
+    an earlier walk visited, or closes a cycle on itself.
+    """
     graph = {t.name: t.triggers for t in config.tasks}
     issues: list[Violation] = []
-    state: dict[str, int] = {}  # 0 in progress, 1 done
-
-    def walk(node: str, trail: list[str]) -> None:
-        if state.get(node) == 1:
-            return
-        if state.get(node) == 0:
-            cycle = trail[trail.index(node):] + [node]
-            issues.append(
-                Violation("error", f"task {node}", f"trigger chain forms a cycle: {' -> '.join(cycle)}")
-            )
-            return
-        state[node] = 0
-        nxt = graph.get(node)
-        if nxt is not None and nxt in graph:
-            walk(nxt, trail + [node])
-        state[node] = 1
-
-    for name in graph:
-        if name not in state:
-            walk(name, [])
+    done: set[str] = set()
+    for start in graph:
+        trail: dict[str, int] = {}  # task -> position along this walk
+        node: str | None = start
+        while node in graph and node not in done:
+            if node in trail:
+                cycle = [*list(trail)[trail[node]:], node]
+                issues.append(
+                    Violation("error", f"task {node}", f"trigger chain forms a cycle: {' -> '.join(cycle)}")
+                )
+                break
+            trail[node] = len(trail)
+            node = graph[node]
+        done.update(trail)
     return issues
 
 

@@ -440,6 +440,13 @@ def test_validate_reports_each_trigger_cycle_once_from_where_it_closes():
     ]
 
 
+def test_long_trigger_chain_validates(tmp_path, capsys):
+    rows = [row(name=f"t{i}", triggers=f"t{i + 1}") for i in range(1199)] + [row(name="t1199")]
+    task_file, element_file = write_inputs(tmp_path, rows)
+    assert main(["validate", "--tasks", str(task_file), "--elements", str(element_file)]) == 0
+    assert capsys.readouterr().out == "OK: 1200 task(s), 3 element(s)\n"
+
+
 def test_validate_self_trigger_cycle():
     issues = validate(make_config([make_task(name="a", triggers="a")]))
     assert any("cycle" in v.message for v in issues)
