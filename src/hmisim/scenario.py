@@ -159,8 +159,9 @@ def _parse_road(
     if len(issues) > reported:
         return None
     dwell: dict[int, DwellParams] = {}
+    dwell_levels: set[int] = set()
     for key, entry in as_mapping(proc.get("dwell"), "dwell", where, issues).items():
-        level = _parse_level(key, f"{where} dwell", issues)
+        level = _parse_level(key, f"{where} dwell", issues, dwell_levels)
         if level is None or not isinstance(entry, dict):
             continue
         for_level = f"for level {level}"
@@ -178,13 +179,15 @@ def _parse_road(
     # A rejected dwell section or entry is reported once, not again as a level without dwell.
     check_dwell = len(issues) == reported
     transitions: dict[int, dict[int, float]] = {}
+    sources: set[int] = set()
     for key, row in as_mapping(proc.get("transitions"), "transitions", where, issues).items():
-        level = _parse_level(key, f"{where} transitions", issues)
+        level = _parse_level(key, f"{where} transitions", issues, sources)
         if level is None:
             continue
         out: dict[int, float] = {}
+        targets: set[int] = set()
         for target_key, weight in as_mapping(row, f"transitions[{level}]", where, issues).items():
-            target = _parse_level(target_key, f"{where} transitions[{level}]", issues)
+            target = _parse_level(target_key, f"{where} transitions[{level}]", issues, targets)
             if target is None:
                 continue
             if target == level:
@@ -206,15 +209,25 @@ def _parse_road(
     return RoadProcessParams(initial_level=initial_level, dwell=dwell, transitions=transitions)
 
 
-def _parse_level(key: Any, where: str, issues: list[Violation]) -> int | None:
+def _parse_level(key: Any, where: str, issues: list[Violation], seen: set[int] | None = None) -> int | None:
+    """An automation level (an integer, integer text or a whole float, not a bool), or
+    None after one located error.  ``seen`` collects the levels a level-keyed section
+    has given so far; a level given twice is an error."""
     try:
         level = int(key)
+        if isinstance(key, bool) or (isinstance(key, float) and key != level):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         issues.append(Violation("error", where, f"automation level expected, got {key!r}"))
         return None
     if not 0 <= level <= MAX_LEVEL:
         issues.append(Violation("error", where, f"automation level {level} outside 0..{MAX_LEVEL}"))
         return None
+    if seen is not None:
+        if level in seen:
+            issues.append(Violation("error", where, f"automation level {level} given twice"))
+            return None
+        seen.add(level)
     return level
 
 
@@ -320,11 +333,12 @@ def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindi
         if event in ("tor60", "tor10"):
             bindings[event, None] = names(raw.get(event), f"{where} {event}")
             continue
+        levels: set[int] = set()
         for key, value in as_mapping(raw.get(event), event, where, issues).items():
             if event == "level_change" and key == "any":
                 bindings[event, key] = names(value, f"{where} level_change.any")
                 continue
-            level = _parse_level(key, f"{where} {event}", issues)
+            level = _parse_level(key, f"{where} {event}", issues, levels)
             if level is not None:
                 bindings[event, level] = names(value, f"{where} {event}[{level}]")
     for key in raw:

@@ -210,6 +210,10 @@ def test_missing_file_raises(tmp_path):
         (MINIMAL + "awareness:\n  cabin_temp: {}\n", "no ground-truth counterpart"),
         (MINIMAL + "awareness:\n  speed: {resolution: 0}\n", "resolution must be > 0"),
         (MINIMAL + "vehicle:\n  initial_level: 7\n", "outside 0..4"),
+        (MINIMAL + "vehicle:\n  initial_level: 2.5\n", "vehicle: automation level expected, got 2.5"),
+        (MINIMAL + "vehicle:\n  initial_level: true\n", "vehicle: automation level expected, got True"),
+        ("road:\n  fixed_segments:\n    - [0, 100, 2.5]\n", "fixed_segments[0]: automation level expected, got 2.5"),
+        (MINIMAL + "bindings:\n  level_change:\n    true: [x]\n", "level_change: automation level expected, got True"),
         (
             MINIMAL + "vehicle:\n  tor_lead_seconds: 5\n  tor_final_seconds: 10\n",
             "vehicle: need tor_lead_seconds >= tor_final_seconds",
@@ -220,6 +224,34 @@ def test_invalid_scenarios_rejected(tmp_path, body, fragment):
     with pytest.raises(ScenarioError) as err:
         load_scenario(write_scenario(tmp_path, body))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(("key", "level"), [("'1'", 1), ("2.0", 2), (" 3 ", 3)])
+def test_level_may_be_integer_text_or_a_whole_float(tmp_path, key, level):
+    scenario = load_scenario(write_scenario(tmp_path, MINIMAL + f"vehicle:\n  initial_level: {key}\n"))
+    assert scenario.vehicle.initial_level == level
+
+
+PROCESS = "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: 10}\n      4: {mean: 10}\n"
+
+
+@pytest.mark.parametrize(
+    ("body", "spot", "level"),
+    [
+        (MINIMAL + "bindings:\n  level_change:\n    1: [a]\n    '1': [b]\n", "bindings level_change", 1),
+        (MINIMAL + "bindings:\n  availability_rise:\n    4: [a]\n    ' 4': [b]\n", "bindings availability_rise", 4),
+        (MINIMAL + "bindings:\n  availability_drop:\n    '2': [a]\n    2: [b]\n", "bindings availability_drop", 2),
+        (PROCESS + "      '4': {mean: 20}\n", "road dwell", 4),
+        (PROCESS + "    transitions:\n      2: {4: 1}\n      '2': {4: 2}\n", "road transitions", 2),
+        (PROCESS + "    transitions:\n      2: {4: 1, '4': 2}\n", "road transitions[2]", 4),
+    ],
+    ids=["level_change", "availability_rise", "availability_drop", "dwell", "transitions", "transition targets"],
+)
+def test_level_given_twice_is_one_located_error(tmp_path, body, spot, level):
+    path = write_scenario(tmp_path, body)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.violations == [Violation("error", f"{path} {spot}", f"automation level {level} given twice")]
 
 
 def test_all_issues_collected(tmp_path):
