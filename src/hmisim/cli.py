@@ -367,9 +367,13 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
         parts = args.weights.split(",")
         if len(parts) != 3:
             raise UsageError("--weights needs exactly three comma-separated numbers")
+        keys = ("cognitive", "perceptual", "eyes_off")
+        weights = [as_number(p, f"--weights {key}", "optimize", issues, at_least=0) for key, p in zip(keys, parts)]
+        if issues:
+            raise UsageError(issues[0].message)
         try:
-            plan.weights = ObjectiveWeights(*(float(p) for p in parts))
-        except ValueError as exc:
+            plan.weights = ObjectiveWeights(*weights)
+        except ValueError as exc:  # every weight zero
             raise UsageError(f"bad --weights: {exc}") from None
     return plan, configs, scenario
 

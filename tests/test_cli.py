@@ -771,7 +771,7 @@ def test_optimize_via_plan_budget_flag_overrides(tmp_path, capsys):
     ("weights", "message"),
     [
         ("1,2", "usage error: --weights needs exactly three"),
-        ("nan,1,1", "usage error: bad --weights: objective weights must be >= 0 and finite"),
+        ("nan,1,1", "usage error: --weights cognitive must be >= 0 and finite, got 'nan'"),
     ],
 )
 def test_optimize_bad_weights(capsys, tmp_path, weights, message):
@@ -782,6 +782,26 @@ def test_optimize_bad_weights(capsys, tmp_path, weights, message):
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("weights", "message"),
+    [
+        ("x,1,1", "--weights cognitive must be a number, got 'x'"),
+        ("1,-1,1", "--weights perceptual must be >= 0 and finite, got '-1'"),
+        ("1,1,inf", "--weights eyes_off must be >= 0 and finite, got 'inf'"),
+        ("1,true,1", "--weights perceptual must be a number, got 'true'"),
+        ("0,0,0", "bad --weights: at least one objective weight must be > 0"),
+    ],
+)
+def test_optimize_weights_follow_the_number_rule(capsys, tmp_path, weights, message):
+    code = main([
+        "optimize", "--plan", str(PKG_DATA / "demo_plan.yaml"), "--budget", "0", "--weights", weights,
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
