@@ -690,6 +690,46 @@ def test_seeds_file_shorter_than_the_demo_plan_trials_is_one_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def seedless_plan(tmp_path):
+    """A two-design plan on the scripted inputs with three trials and no master_seeds."""
+    plan = tmp_path / "seedless.yaml"
+    plan.write_text(
+        f"scenario: {DATA / 'scripted_scenario.yaml'}\n"
+        "trials_per_config: 3\n"
+        "trial_length: 100\n"
+        "configurations:\n"
+        f"  - {{name: first, tasks: {DATA / 'scripted_tasks.csv'}, elements: {DATA / 'scripted_elements.yaml'}}}\n"
+        f"  - {{name: second, tasks: {DATA / 'scripted_tasks.csv'}, elements: {DATA / 'scripted_elements.yaml'}}}\n"
+    )
+    return plan
+
+
+def scatter_seeds(out):
+    """The seeds of each design in a compare call's scatter.csv."""
+    seeds: dict[str, list[int]] = {}
+    for row in (out / "scatter.csv").read_text().splitlines()[1:]:
+        name, seed = row.split(",")[:2]
+        seeds.setdefault(name, []).append(int(seed))
+    return seeds
+
+
+@pytest.mark.parametrize(
+    ("seed", "seeds_file", "expected"),
+    [(None, None, [1, 2, 3]), ("7", None, [7, 8, 9]), (None, "40\n30\n20\n10\n", [40, 30, 20])],
+    ids=["no-seed-flags", "seed", "four-seed-file"],
+)
+def test_seedless_plan_runs_the_seeds_its_flags_name(tmp_path, capsys, seed, seeds_file, expected):
+    flags = [] if seed is None else ["--seed", seed]
+    if seeds_file is not None:
+        (tmp_path / "seeds.txt").write_text(seeds_file)
+        flags = ["--seeds-file", str(tmp_path / "seeds.txt")]
+    out = tmp_path / "out"
+    code = main(["compare", "--plan", str(seedless_plan(tmp_path)), *flags, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert scatter_seeds(out) == {"first": expected, "second": expected}
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -703,12 +743,15 @@ def test_optimize_budget_zero_is_a_dry_run(tmp_path, capsys, scripted_config):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "budget 0: no simulations run, design unchanged" in out
+    assert out == "budget 0: no simulations run, design unchanged\n"
     expected = tmp_path / "expected.csv"
     write_tasks_csv(scripted_config, expected)
     assert (tmp_path / "optimized_tasks.csv").read_bytes() == expected.read_bytes()
-    assert "# budget 0" in (tmp_path / "moves.log").read_text()
-    assert not (tmp_path / "summary.csv").exists()
+    assert (tmp_path / "moves.log").read_text().splitlines() == [
+        "# local search: budget 0, sa floor 75, weights cog=1 perc=1 eyes=1",
+        "# budget 0: no evaluations, design unchanged",
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["expected.csv", "moves.log", "optimized_tasks.csv"]
 
 
 @pytest.mark.parametrize("budget", ["-1", "-3"])
