@@ -234,26 +234,20 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_tasks_csv(result.config, out / "optimized_tasks.csv")
     _write_moves_log(result, out / "moves.log", plan)
-    if result.initial_metrics is not None and result.final_metrics is not None:
-        summaries = {
-            "initial": aggregate(result.initial_metrics),
-            "optimized": aggregate(result.final_metrics),
-        }
-        write_summary_csv(summaries, out / "summary.csv")
-        write_scatter_csv(summaries, out / "scatter.csv")
-
-    if result.evaluations == 0:
+    if result.initial_metrics is None:
         print("budget 0: no simulations run, design unchanged")
         return 0
+    summaries = {"initial": aggregate(result.initial_metrics), "optimized": aggregate(result.final_metrics)}
+    write_summary_csv(summaries, out / "summary.csv")
+    write_scatter_csv(summaries, out / "scatter.csv")
     for record in result.log:
         if record.accepted:
             print(record.describe())
-    assert result.objective is not None and result.initial_objective is not None
-    weights = plan.weights
+    initial, final, weights = result.initial_objective, result.objective, plan.weights
     print(
         f"{result.evaluations} candidate evaluation(s), {len(result.accepted_moves)} accepted move(s); "
-        f"weighted score {result.initial_objective.score(weights)!r} -> {result.objective.score(weights)!r}, "
-        f"median sa {result.objective.sa_average!r} (floor {plan.sa_floor:g}, "
+        f"weighted score {initial.score(weights)!r} -> {final.score(weights)!r}, "
+        f"median sa {final.sa_average!r} (floor {result.sa_floor:g}, "
         f"{'feasible' if result.feasible else 'infeasible'})"
     )
     return 0
@@ -334,13 +328,13 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
         raise ConfigurationError(issues)
     if args.seeds_file:
         seeds = _read_seeds_file(args.seeds_file)
-    elif args.seed is not None or not plan.master_seeds:
+    elif args.seed is not None or not plan.master_seeds:  # count up from --seed, or from 1
         first = 1 if args.seed is None else args.seed
         seeds = list(range(first, first + (plan.trials_per_config if trials is None else trials)))
     else:
         seeds = plan.master_seeds
-    if trials is None:  # a plan without seeds runs one trial per seed it is given
-        trials = plan.trials_per_config if plan.master_seeds else len(seeds)
+    if trials is None:  # a plan file sets the trial count; the flags form runs one trial per seed
+        trials = plan.trials_per_config if args.plan else len(seeds)
     if len(seeds) < trials:
         raise ConfigurationError(
             [Violation("error", "seeds", f"{trials} trials need {trials} seeds, got {len(seeds)}")]
@@ -379,8 +373,7 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
 
 
 def _write_moves_log(result: SearchResult, path: Path, plan: ExperimentPlan) -> None:
-    sa_floor, weights = plan.sa_floor, plan.weights
-    assert sa_floor is not None
+    sa_floor, weights = result.sa_floor, plan.weights
 
     def describe_point(point) -> str:
         return (
@@ -393,17 +386,17 @@ def _write_moves_log(result: SearchResult, path: Path, plan: ExperimentPlan) -> 
         f"# local search: budget {plan.budget}, sa floor {sa_floor:g}, "
         f"weights cog={weights.cognitive:g} perc={weights.perceptual:g} eyes={weights.eyes_off:g}",
     ]
-    if result.initial_objective is None:
+    if result.initial_metrics is None:
         lines.append("# budget 0: no evaluations, design unchanged")
     else:
-        lines.append(f"# initial: {describe_point(result.initial_objective)}")
-        if result.initial_objective.sa_average < sa_floor:
+        initial = result.initial_objective
+        lines.append(f"# initial: {describe_point(initial)}")
+        if initial.sa_average < sa_floor:
             lines.append(
-                f"# initial design infeasible: sa {result.initial_objective.sa_average!r} "
+                f"# initial design infeasible: sa {initial.sa_average!r} "
                 f"below floor {sa_floor:g}; seeking feasibility first"
             )
         lines.extend(record.describe() for record in result.log)
-        assert result.objective is not None
         lines.append(f"# final: {describe_point(result.objective)}")
         lines.append(
             f"# {result.evaluations} candidate evaluation(s), "

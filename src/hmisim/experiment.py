@@ -423,15 +423,38 @@ class MoveRecord:
 
 @dataclass
 class SearchResult:
+    """What a search ran: the final design, its candidate log and both designs' trials.
+
+    ``initial_metrics`` and ``final_metrics`` are ``None`` when nothing ran
+    (budget 0); so are the objective points and ``feasible`` derived from them.
+    """
+
     config: Configuration
-    objective: ObjectivePoint | None
-    initial_objective: ObjectivePoint | None
-    evaluations: int
+    sa_floor: float
     log: list[MoveRecord]
-    accepted_moves: list[DesignMove]
-    feasible: bool | None  # None when nothing was evaluated (budget 0)
-    initial_metrics: list[TrialMetrics] | None = None
-    final_metrics: list[TrialMetrics] | None = None
+    initial_metrics: list[TrialMetrics] | None
+    final_metrics: list[TrialMetrics] | None
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.log)
+
+    @property
+    def accepted_moves(self) -> list[DesignMove]:
+        return [record.move for record in self.log if record.accepted]
+
+    @property
+    def initial_objective(self) -> ObjectivePoint | None:
+        return None if self.initial_metrics is None else objective_point(self.initial_metrics)
+
+    @property
+    def objective(self) -> ObjectivePoint | None:
+        return None if self.final_metrics is None else objective_point(self.final_metrics)
+
+    @property
+    def feasible(self) -> bool | None:
+        objective = self.objective
+        return None if objective is None else objective.sa_average >= self.sa_floor
 
 
 def replay_moves(config: Configuration, moves: Iterable[DesignMove]) -> Configuration:
@@ -466,31 +489,19 @@ def local_search(
         raise ValueError(f"budget must be >= 0, got {budget}")
     weights = weights or ObjectiveWeights()
     if budget == 0:
-        return SearchResult(
-            config=config,
-            objective=None,
-            initial_objective=None,
-            evaluations=0,
-            log=[],
-            accepted_moves=[],
-            feasible=None,
-        )
+        return SearchResult(config, sa_floor, [], None, None)
 
     current = config
-    evaluations = 0
     log: list[MoveRecord] = []
-    accepted_moves: list[DesignMove] = []
     with _pool(jobs, seeds) as pool:
-        current_metrics = run_many(current, scenario, seeds, trial_length, jobs, pool=pool)
+        initial_metrics = current_metrics = run_many(current, scenario, seeds, trial_length, jobs, pool=pool)
         current_point = objective_point(current_metrics)
-        initial_metrics = current_metrics
-        initial_point = current_point
 
         searching = True
-        while searching and evaluations < budget:
+        while searching and len(log) < budget:
             searching = False
             for move in enumerate_moves(current, scenario):
-                if evaluations >= budget:
+                if len(log) >= budget:
                     break
                 try:
                     candidate = apply_move(current, move)
@@ -498,7 +509,6 @@ def local_search(
                     continue  # structurally invalid; costs no simulation
                 candidate_metrics = run_many(candidate, scenario, seeds, trial_length, jobs, pool=pool)
                 candidate_point = objective_point(candidate_metrics)
-                evaluations += 1
                 accepted, reason = _accepts(current_point, candidate_point, weights, sa_floor)
                 log.append(
                     MoveRecord(
@@ -510,23 +520,11 @@ def local_search(
                     )
                 )
                 if accepted:
-                    accepted_moves.append(move)
-                    current, current_point = candidate, candidate_point
-                    current_metrics = candidate_metrics
+                    current, current_point, current_metrics = candidate, candidate_point, candidate_metrics
                     searching = True
                     break  # first improvement: restart from the new incumbent
 
-    return SearchResult(
-        config=current,
-        objective=current_point,
-        initial_objective=initial_point,
-        evaluations=evaluations,
-        log=log,
-        accepted_moves=accepted_moves,
-        feasible=current_point.sa_average >= sa_floor,
-        initial_metrics=initial_metrics,
-        final_metrics=current_metrics,
-    )
+    return SearchResult(current, sa_floor, log, initial_metrics, current_metrics)
 
 
 def _accepts(
@@ -573,7 +571,10 @@ class NamedConfiguration:
 
 @dataclass
 class ExperimentPlan:
-    """A file-backed experiment: named designs, scenario, seeds, search knobs."""
+    """A file-backed experiment: named designs, scenario, seeds, search knobs.
+
+    ``master_seeds`` holds the seeds the plan names; ``[]`` names none.
+    """
 
     name: str
     scenario_path: Path
@@ -594,7 +595,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     """Load an experiment plan; relative paths resolve against the plan file.
 
     ``master_seeds`` is either an explicit list or ``{first, count}``;
-    omitted entirely it defaults to ``1..trials_per_config``.
+    omitted it is ``[]``: the plan names no seeds.
     """
     path = Path(path)
     where = str(path)
@@ -658,9 +659,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if trials is None:
         trials = len(seeds) if seeds else DEFAULT_TRIALS
     trials = as_integer(trials, "trials_per_config", where, issues, at_least=1, at_most=MAX_TRIALS) or 1
-    if not seeds:
-        seeds = list(range(1, trials + 1))
-    if len(seeds) < trials:
+    if seeds and len(seeds) < trials:
         issues.append(
             Violation("error", where, f"{trials} trials per config but only {len(seeds)} master seeds")
         )

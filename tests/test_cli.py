@@ -730,6 +730,14 @@ def test_seedless_plan_runs_the_seeds_its_flags_name(tmp_path, capsys, seed, see
     assert scatter_seeds(out) == {"first": expected, "second": expected}
 
 
+def test_trials_flag_raises_the_trial_count_of_a_seedless_plan(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["compare", "--plan", str(seedless_plan(tmp_path)), "--trials", "5", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert scatter_seeds(out) == {"first": [1, 2, 3, 4, 5], "second": [1, 2, 3, 4, 5]}
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -752,6 +760,40 @@ def test_optimize_budget_zero_is_a_dry_run(tmp_path, capsys, scripted_config):
         "# budget 0: no evaluations, design unchanged",
     ]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["expected.csv", "moves.log", "optimized_tasks.csv"]
+
+
+def test_optimize_with_no_move_to_evaluate_reports_the_batch_it_ran(tmp_path, capsys):
+    # One auditory driver task on the lightest descriptors, targeted by a cognitive
+    # function: no reallocation, removal, serialization or descriptor swap applies.
+    tasks = tmp_path / "tasks.csv"
+    header = (DATA / "scripted_tasks.csv").read_text().splitlines()[0]
+    tasks.write_text(
+        header + "\nlisten,Listen to a prompt,speaker,Simple association,Vocal signal recognition,"
+        "auditory-vocal,,,1.0,,listen_up,speed,,3,driver\n"
+    )
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(
+        "road: {fixed_segments: [[0, 100, 2]]}\nspeed: {constant: 50}\n"
+        "cognitive_functions: [{name: listen_up, task: listen, mean: 22, sigma: 0}]\n"
+        "awareness: {speed: {resolution: 1}}\nvehicle: {initial_level: 2}\n"
+    )
+    out = tmp_path / "out"
+    code = main([
+        "optimize", "--tasks", str(tasks), "--elements", str(DATA / "scripted_elements.yaml"),
+        "--scenario", str(scenario), "--sa-floor", "0", "--budget", "5",
+        "--trials", "2", "--length", "100", "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "0 candidate evaluation(s), 0 accepted move(s); weighted score 0.0 -> 0.0, "
+        "median sa 100.0 (floor 0, feasible)\n"
+    )
+    assert (out / "moves.log").read_text().splitlines()[-1] == (
+        "# 0 candidate evaluation(s), 0 accepted move(s), feasible"
+    )
+    assert sorted(path.name for path in out.iterdir()) == [
+        "moves.log", "optimized_tasks.csv", "scatter.csv", "summary.csv",
+    ]
 
 
 @pytest.mark.parametrize("budget", ["-1", "-3"])

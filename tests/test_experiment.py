@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from importlib import resources
 from pathlib import Path
@@ -19,6 +20,7 @@ from hmisim.experiment import (
     ReallocateLocation,
     RemoveTask,
     ReplaceDescriptor,
+    SearchResult,
     SerializeSignals,
     _accepts,
     apply_move,
@@ -500,6 +502,18 @@ def test_local_search_respects_budget(scripted_config, scripted_scenario):
     assert len(result.log) == result.evaluations
 
 
+def test_search_result_keeps_only_what_the_search_ran(scripted_config, scripted_scenario):
+    assert [f.name for f in dataclasses.fields(SearchResult)] == [
+        "config", "sa_floor", "log", "initial_metrics", "final_metrics",
+    ]
+    result = local_search(scripted_config, scripted_scenario, [1], 100.0, sa_floor=90.0, budget=40)
+    assert result.evaluations == len(result.log)
+    assert result.accepted_moves == [r.move for r in result.log if r.accepted]
+    assert result.initial_objective == objective_point(result.initial_metrics)
+    assert result.objective == result.log[-1].before == objective_point(result.final_metrics)
+    assert result.feasible is (result.objective.sa_average >= 90.0)
+
+
 # ---------------------------------------------------------------------------
 # experiment plans
 
@@ -540,13 +554,19 @@ configurations:
 def test_plan_defaults(tmp_path):
     plan = load_plan(write_plan(tmp_path, MINIMAL_PLAN))
     assert plan.name == "plan"
-    assert plan.master_seeds == list(range(1, 21))
+    assert plan.master_seeds == []
     assert plan.trials_per_config == 20
     assert plan.trial_length == 60_000.0
     assert plan.sa_floor is None and plan.budget is None
     assert plan.jobs == 1
     assert plan.configurations[0].tasks == tmp_path / "tasks.csv"
     assert plan.configurations[0].scale is None
+
+
+def test_plan_with_an_empty_seed_list_names_no_seeds(tmp_path):
+    plan = load_plan(write_plan(tmp_path, MINIMAL_PLAN + "trials_per_config: 3\nmaster_seeds: []\n"))
+    assert plan.master_seeds == []
+    assert plan.trials_per_config == 3
 
 
 def test_plan_explicit_seed_list_sets_trial_count(tmp_path):
