@@ -335,6 +335,9 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
         seeds = plan.master_seeds
     if trials is None:  # a plan file sets the trial count; the flags form runs one trial per seed
         trials = plan.trials_per_config if args.plan else len(seeds)
+    if trials > MAX_TRIALS:  # a count only a seeds file can set: --trials and the plan are bounded
+        message = f"{trials} seeds, but a batch runs at most {MAX_TRIALS} trials; --trials picks the first ones"
+        raise ConfigurationError([Violation("error", args.seeds_file, message)])
     if len(seeds) < trials:
         raise ConfigurationError(
             [Violation("error", "seeds", f"{trials} trials need {trials} seeds, got {len(seeds)}")]

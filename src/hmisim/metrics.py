@@ -21,13 +21,13 @@ Exports are line-delimited JSON with a stable field order.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason, AttentionState
+from .tasks import write_csv
 from .vehicle import AutomationStateMachine
 
 METRICS_CSV_HEADER = ["seed", "eyes_off_pct", "cog_overload_pct", "perc_overload_pct", "sa_avg_pct"]
@@ -265,20 +265,13 @@ def _trace_record(row: Any) -> TraceRecord:
     return TraceRecord(**row)  # a missing or unknown key raises TypeError
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_metrics_csv(trials: Iterable[TrialMetrics], path: str | Path) -> None:
-    _write_csv(path, METRICS_CSV_HEADER, ([t.seed, *map(repr, t.indicator_row())] for t in trials))
+    write_csv(path, METRICS_CSV_HEADER, ([t.seed, *map(repr, t.indicator_row())] for t in trials))
 
 
 def write_counts_csv(counts: dict[str, TaskCounts], path: str | Path) -> None:
     rows = ([n, c.triggered, c.executed, c.queued, c.aborted] for n, c in sorted(counts.items()))
-    _write_csv(path, COUNTS_CSV_HEADER, rows)
+    write_csv(path, COUNTS_CSV_HEADER, rows)
 
 
 def write_summary_csv(summaries: dict[str, AggregateSummary], path: str | Path) -> None:
@@ -286,7 +279,7 @@ def write_summary_csv(summaries: dict[str, AggregateSummary], path: str | Path) 
         [name, s.trials, *(repr(s.medians[k]) for k in METRICS_CSV_HEADER[1:])]
         for name, s in summaries.items()
     )
-    _write_csv(path, SUMMARY_CSV_HEADER, rows)
+    write_csv(path, SUMMARY_CSV_HEADER, rows)
 
 
 def write_scatter_csv(summaries: dict[str, AggregateSummary], path: str | Path) -> None:
@@ -295,7 +288,7 @@ def write_scatter_csv(summaries: dict[str, AggregateSummary], path: str | Path) 
         for name, s in summaries.items()
         for seed, *indicators in s.scatter
     )
-    _write_csv(path, SCATTER_CSV_HEADER, rows)
+    write_csv(path, SCATTER_CSV_HEADER, rows)
 
 
 def write_timeline_csv(records: Iterable[TraceRecord], path: str | Path) -> None:
@@ -307,10 +300,10 @@ def write_timeline_csv(records: Iterable[TraceRecord], path: str | Path) -> None
         ]
         for r in records
     )
-    _write_csv(path, TIMELINE_CSV_HEADER, rows)
+    write_csv(path, TIMELINE_CSV_HEADER, rows)
 
 
 def write_paired_csv(
     seeds: list[int], diffs: list[tuple[float, float, float, float]], path: str | Path
 ) -> None:
-    _write_csv(path, PAIRED_CSV_HEADER, ([seed, *map(repr, row)] for seed, row in zip(seeds, diffs)))
+    write_csv(path, PAIRED_CSV_HEADER, ([seed, *map(repr, row)] for seed, row in zip(seeds, diffs)))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason
-from .metrics import TraceRecord, eyes_off_contribution
+from .metrics import TraceRecord
 
 
 @dataclass
@@ -96,8 +96,8 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
             )
         elif kind == "task-end":
             entry = active.pop(payload["instance"], None)
-            if entry is not None and payload["completed"]:
-                eyes_off += eyes_off_contribution(entry.total_time, entry.channel, entry.on_road)
+            if entry is not None and payload["completed"] and entry.channel == "visual" and not entry.on_road:
+                eyes_off += entry.total_time  # a completed glance away from the road
         else:
             if kind == "task-abort":
                 aborts.append((AbortReason(payload["reason"]), payload["total_time"]))

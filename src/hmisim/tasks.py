@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import yaml
 
@@ -157,13 +157,51 @@ def read_input(path: Path, kind: str, issues: list[Violation]) -> str | None:
     return None
 
 
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write a header and rows as a UTF-8 CSV file with ``\\n`` line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+class _DuplicateKey(yaml.YAMLError):
+    """A mapping gives one key twice."""
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A ``SafeLoader`` whose mappings refuse a key equal, as a parsed value, to an earlier one.
+
+    Keys are compared after parsing, so ``4`` and ``4.0`` are one key; a merge key
+    (``<<``) is not a key of its mapping, so the keys it brings in may be overridden.
+    """
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        first_lines: dict[Any, int] = {}
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key, line = self.construct_object(key_node, deep=True), key_node.start_mark.line + 1
+            try:
+                first = first_lines.get(key)
+            except TypeError:  # an unhashable key: the base constructor reports it
+                continue
+            if first is not None:
+                raise _DuplicateKey(f"duplicate key {key!r} at line {line} (first at line {first})")
+            first_lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
 def read_yaml(path: Path, kind: str, issues: list[Violation]) -> dict | None:
     """The top-level mapping of a YAML input file (``{}`` if empty), or None after one located error."""
     text = read_input(path, kind, issues)
     if text is None:
         return None
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
+    except _DuplicateKey as exc:
+        issues.append(Violation("error", str(path), str(exc)))
+        return None
     except yaml.YAMLError as exc:
         issues.append(Violation("error", str(path), f"YAML parse failure: {exc}"))
         return None
@@ -595,29 +633,27 @@ def _trigger_cycles(config: Configuration) -> list[Violation]:
 
 def write_tasks_csv(config: Configuration, path: str | Path) -> None:
     """Write the task list back out with workloads filled in."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TASK_COLUMNS)
-        for t in config.tasks:
-            writer.writerow(
-                [
-                    t.name,
-                    t.description,
-                    t.location,
-                    _fmt(t.cognitive_descriptor),
-                    _fmt(t.perceptual_descriptor),
-                    t.perception_type.value,
-                    _fmt(t.perceptual_workload),
-                    _fmt(t.cognitive_workload),
-                    _fmt(t.duration),
-                    _fmt(t.gaze_time),
-                    _fmt(t.cognitive_function_trigger),
-                    _fmt(t.awareness_parameter),
-                    _fmt(t.triggers),
-                    t.priority,
-                    t.initiator.value,
-                ]
-            )
+    rows = (
+        [
+            t.name,
+            t.description,
+            t.location,
+            _fmt(t.cognitive_descriptor),
+            _fmt(t.perceptual_descriptor),
+            t.perception_type.value,
+            _fmt(t.perceptual_workload),
+            _fmt(t.cognitive_workload),
+            _fmt(t.duration),
+            _fmt(t.gaze_time),
+            _fmt(t.cognitive_function_trigger),
+            _fmt(t.awareness_parameter),
+            _fmt(t.triggers),
+            t.priority,
+            t.initiator.value,
+        ]
+        for t in config.tasks
+    )
+    write_csv(path, TASK_COLUMNS, rows)
 
 
 def copy_configuration(config: Configuration) -> Configuration:

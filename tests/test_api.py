@@ -66,3 +66,22 @@ def test_traced_run_matches_the_untraced_run(tracer, tmp_path, capsys):
     assert {"trial.run_trial", "trial.dispatch", "engine.schedule", "vehicle.machine"} <= spans
     # the wrappers are gone again
     assert hmisim.engine.EventCalendar.schedule.__module__ == "hmisim.engine"
+
+
+def test_traced_optimize_matches_the_untraced_optimize(tracer, tmp_path, capsys):
+    argv = [
+        "optimize",
+        "--tasks", str(DATA / "scripted_tasks.csv"),
+        "--elements", str(DATA / "scripted_elements.yaml"),
+        "--scenario", str(DATA / "scripted_scenario.yaml"),
+        "--sa-floor", "75", "--budget", "2", "--trials", "1", "--length", "100", "--jobs", "1",
+    ]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    with tracer.installed(hmisim):
+        assert main([*argv, "--out", str(tmp_path / "traced")]) == 0
+    capsys.readouterr()
+    for name in ("moves.log", "optimized_tasks.csv", "summary.csv", "scatter.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes()
+    spans = {name for _, name in tracer.tables["ops"]}
+    assert {"experiment.local_search", "experiment.run_many"} <= spans
+    assert tracer.counters["ops"]["experiment.evaluations"] == 2  # read from SearchResult.evaluations

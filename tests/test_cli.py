@@ -335,6 +335,8 @@ def assert_one_error_from_validate_and_run(inputs, out_dir, capsys, message):
         (AWARENESS, "awareness: 5", "awareness: awareness must be a mapping, got 5"),
         ("speed: {resolution: 1}", "speed: 5", "awareness: 'speed' must be a mapping, got 5"),
         ("vehicle:\n  initial_level: 2", "vehicle: 5\nx:\n  initial_level: 2", "vehicle: vehicle must be a mapping, got 5"),
+        ("tor_final_seconds: 10", "tor_final_seconds: 10\nspeed: {constant: 50}", "duplicate key 'speed' at line 53 (first at line 16)"),
+        (AVAILABILITY, "availability_rise:\n    4: [ad_available_msg]\n    4.0: [ad_available_vocal]", "duplicate key 4.0 at line 37 (first at line 36)"),
     ],
 )
 def test_wrong_shape_scenario_section_is_one_located_error(tmp_path, capsys, old, new, message):
@@ -679,6 +681,28 @@ def test_seed_flag_with_the_demo_plan_counts_up_its_trials(tmp_path, capsys):
     assert code == 0
     paired = (tmp_path / "paired.csv").read_text().splitlines()[1:]
     assert [line.split(",")[0] for line in paired] == [str(seed) for seed in range(5, 25)]
+
+
+def test_seeds_file_longer_than_max_trials_is_one_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hmisim.cli, "MAX_TRIALS", 5)
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("".join(f"{seed}\n" for seed in range(1, 7)))
+    argv = [
+        "compare", *SCRIPTED, "--tasks-b", str(DATA / "scripted_tasks.csv"), *SCRIPTED_SCENARIO,
+        "--seeds-file", str(seeds_file), "--length", "100", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 1
+    assert one_error(capsys.readouterr().err) == (
+        f"error: {seeds_file}: 6 seeds, but a batch runs at most 5 trials; --trials picks the first ones"
+    )
+    assert not (tmp_path / "out").exists()
+    # a count set by --trials or by the plan runs the first seeds of a longer file
+    assert main([*argv, "--trials", "2"]) == 0
+    assert scatter_seeds(tmp_path / "out") == {"A": [1, 2], "B": [1, 2]}
+    plan = ["compare", "--plan", str(seedless_plan(tmp_path)), "--seeds-file", str(seeds_file)]
+    assert main([*plan, "--out", str(tmp_path / "plan")]) == 0
+    capsys.readouterr()
+    assert scatter_seeds(tmp_path / "plan") == {"first": [1, 2, 3], "second": [1, 2, 3]}
 
 
 def test_seeds_file_shorter_than_the_demo_plan_trials_is_one_error(tmp_path, capsys):

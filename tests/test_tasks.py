@@ -24,6 +24,7 @@ from hmisim.tasks import (
     Violation,
     copy_configuration,
     load_configuration,
+    read_yaml,
     validate,
     write_tasks_csv,
 )
@@ -337,6 +338,41 @@ def test_bad_element_files_raise(tmp_path, body):
     with pytest.raises(ConfigurationError) as err:
         load_files(tmp_path, elements=body)
     assert all(v.where.startswith(str(tmp_path / "e.yaml")) for v in err.value.violations)
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [
+        ("a: 1\nb: 2\na: 3\n", "duplicate key 'a' at line 3 (first at line 1)"),
+        ("levels:\n  4: [x]\n  4.0: [y]\n", "duplicate key 4.0 at line 3 (first at line 2)"),
+        ("levels: {4: [x], 4.0: [y]}\n", "duplicate key 4.0 at line 1 (first at line 1)"),
+        ("outer:\n  inner: {a: 1, b: 2, b: 3}\n", "duplicate key 'b' at line 2 (first at line 2)"),
+    ],
+    ids=["top-level", "equal-numbers", "flow-mapping", "nested"],
+)
+def test_read_yaml_refuses_a_key_given_twice(tmp_path, body, message):
+    path = tmp_path / "input.yaml"
+    path.write_text(body)
+    issues = []
+    assert read_yaml(path, "scenario", issues) is None
+    assert issues == [Violation("error", str(path), message)]
+
+
+@pytest.mark.parametrize(
+    ("body", "expected"),
+    [
+        ("base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  x: 5\n", {"base": {"x": 1, "y": 2}, "d": {"x": 5, "y": 2}}),
+        ("levels: {1: [x], '1': [y]}\n", {"levels": {1: ["x"], "1": ["y"]}}),
+        ("a: {x: 1}\nb: {x: 2}\n", {"a": {"x": 1}, "b": {"x": 2}}),
+    ],
+    ids=["merge-key-overridden", "int-and-text", "same-key-in-two-mappings"],
+)
+def test_read_yaml_keeps_keys_that_are_not_repeated(tmp_path, body, expected):
+    path = tmp_path / "input.yaml"
+    path.write_text(body)
+    issues = []
+    assert read_yaml(path, "scenario", issues) == expected
+    assert issues == []
 
 
 def test_no_scale_file_gives_defaults(tmp_path):

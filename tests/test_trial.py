@@ -256,6 +256,19 @@ def test_demo_trial_replay_matches_collector(demo_config, demo_scenario):
     assert check_tor_lead_times(result.records, 60.0, 10.0).ok()
 
 
+def test_replay_keeps_its_own_eyes_off_rule(optimized_config, demo_scenario):
+    # The optimized demo design shows its availability message on the head-up
+    # display, so completed on-road glances reach both the collector and the replay.
+    result = run_trial(optimized_config, demo_scenario, seed=1, trial_length=5000.0)
+    on_road = [
+        r for r in result.records
+        if r.kind == "task-start" and r.payload["channel"] == "visual" and r.payload["on_road"]
+    ]
+    assert on_road
+    replayed = replay_metrics(result.records, 5000.0)
+    assert replayed.eyes_off_seconds == pytest.approx(result.metrics.eyes_off_seconds, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # serialization of simultaneous signals via follow-up chains
 
