@@ -328,7 +328,7 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
         raise ConfigurationError(issues)
     if args.seeds_file:
         seeds = _read_seeds_file(args.seeds_file)
-    elif args.seed is not None or not plan.master_seeds:  # count up from --seed, or from 1
+    elif args.seed is not None or not plan.master_seeds:
         first = 1 if args.seed is None else args.seed
         seeds = list(range(first, first + (plan.trials_per_config if trials is None else trials)))
     else:

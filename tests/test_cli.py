@@ -738,12 +738,16 @@ def scatter_seeds(out):
 
 
 @pytest.mark.parametrize(
-    ("seed", "seeds_file", "expected"),
-    [(None, None, [1, 2, 3]), ("7", None, [7, 8, 9]), (None, "40\n30\n20\n10\n", [40, 30, 20])],
-    ids=["no-seed-flags", "seed", "four-seed-file"],
+    ("flags", "seeds_file", "expected"),
+    [
+        ([], None, [1, 2, 3]),
+        (["--seed", "7"], None, [7, 8, 9]),
+        ([], "40\n30\n20\n10\n", [40, 30, 20]),
+        (["--trials", "5"], None, [1, 2, 3, 4, 5]),
+    ],
+    ids=["no-seed-flags", "seed", "four-seed-file", "trials-above-the-plan"],
 )
-def test_seedless_plan_runs_the_seeds_its_flags_name(tmp_path, capsys, seed, seeds_file, expected):
-    flags = [] if seed is None else ["--seed", seed]
+def test_seedless_plan_runs_the_seeds_its_flags_name(tmp_path, capsys, flags, seeds_file, expected):
     if seeds_file is not None:
         (tmp_path / "seeds.txt").write_text(seeds_file)
         flags = ["--seeds-file", str(tmp_path / "seeds.txt")]
@@ -752,14 +756,6 @@ def test_seedless_plan_runs_the_seeds_its_flags_name(tmp_path, capsys, seed, see
     capsys.readouterr()
     assert code == 0
     assert scatter_seeds(out) == {"first": expected, "second": expected}
-
-
-def test_trials_flag_raises_the_trial_count_of_a_seedless_plan(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["compare", "--plan", str(seedless_plan(tmp_path)), "--trials", "5", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert scatter_seeds(out) == {"first": [1, 2, 3, 4, 5], "second": [1, 2, 3, 4, 5]}
 
 
 # ---------------------------------------------------------------------------
@@ -775,15 +771,26 @@ def test_optimize_budget_zero_is_a_dry_run(tmp_path, capsys, scripted_config):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert out == "budget 0: no simulations run, design unchanged\n"
+    assert "budget 0: no simulations run, design unchanged" in out
     expected = tmp_path / "expected.csv"
     write_tasks_csv(scripted_config, expected)
     assert (tmp_path / "optimized_tasks.csv").read_bytes() == expected.read_bytes()
+    assert "# budget 0" in (tmp_path / "moves.log").read_text()
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_optimize_budget_zero_prints_and_logs_only_that_nothing_ran(tmp_path, capsys):
+    code = main([
+        "optimize", *SCRIPTED, *SCRIPTED_SCENARIO, "--sa-floor", "75", "--budget", "0",
+        "--trials", "1", "--length", "100", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "budget 0: no simulations run, design unchanged\n"
     assert (tmp_path / "moves.log").read_text().splitlines() == [
         "# local search: budget 0, sa floor 75, weights cog=1 perc=1 eyes=1",
         "# budget 0: no evaluations, design unchanged",
     ]
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["expected.csv", "moves.log", "optimized_tasks.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["moves.log", "optimized_tasks.csv"]
 
 
 def test_optimize_with_no_move_to_evaluate_reports_the_batch_it_ran(tmp_path, capsys):
