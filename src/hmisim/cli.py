@@ -342,6 +342,13 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
         raise ConfigurationError(
             [Violation("error", "seeds", f"{trials} trials need {trials} seeds, got {len(seeds)}")]
         )
+    first_of: dict[int, int] = {}  # a trial takes its seed modulo 2**64 (engine.RandomStreams)
+    for seed in seeds[:trials]:
+        key = seed % 2**64
+        if key in first_of:  # only a seeds file or a plan's list can name one twice
+            message = f"seed {seed} repeats seed {first_of[key]} (equal modulo 2**64); a batch runs each seed once"
+            raise ConfigurationError([Violation("error", args.seeds_file or args.plan, message)])
+        first_of[key] = seed
     plan.master_seeds, plan.trials_per_config = seeds[:trials], trials
     if args.length is not None:
         plan.trial_length = args.length

@@ -59,10 +59,17 @@ class AwarenessParameter:
 
 
 def discretize(value: Any, resolution: float | None) -> Any:
-    """Snap numeric values to the comparison grid; pass others through."""
+    """Snap numeric values to the comparison grid; pass others through.
+
+    A grid finer than the float spacing at ``value`` (``value / resolution``
+    overflows) leaves the value as it is.
+    """
     if resolution is None or isinstance(value, bool) or not isinstance(value, (int, float)):
         return value
-    return round(value / resolution) * resolution
+    try:
+        return round(value / resolution) * resolution
+    except OverflowError:
+        return value
 
 
 def awareness(

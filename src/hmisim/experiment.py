@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
-from .metrics import AggregateSummary, TrialMetrics, aggregate, median_low
+from .metrics import AggregateSummary, TrialMetrics, aggregate
 from .scenario import Scenario, load_scenario
 from .tasks import (
     Configuration,
@@ -214,11 +214,12 @@ class ObjectivePoint:
 
 
 def objective_point(trials: list[TrialMetrics]) -> ObjectivePoint:
+    medians = aggregate(trials).medians
     return ObjectivePoint(
-        cognitive_overload=median_low([t.cognitive_overload_fraction for t in trials]),
-        perceptual_overload=median_low([t.perceptual_overload_fraction for t in trials]),
-        eyes_off=median_low([t.eyes_off_fraction for t in trials]),
-        sa_average=median_low([t.sa_average for t in trials]),
+        cognitive_overload=medians["cog_overload_pct"],
+        perceptual_overload=medians["perc_overload_pct"],
+        eyes_off=medians["eyes_off_pct"],
+        sa_average=medians["sa_avg_pct"],
     )
 
 

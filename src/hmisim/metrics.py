@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from sys import intern
 from typing import Any, Iterable
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason, AttentionState
@@ -34,13 +35,15 @@ METRICS_CSV_HEADER = ["seed", "eyes_off_pct", "cog_overload_pct", "perc_overload
 SUMMARY_CSV_HEADER = ["config", "trials"] + METRICS_CSV_HEADER[1:]
 SCATTER_CSV_HEADER = ["config"] + METRICS_CSV_HEADER
 COUNTS_CSV_HEADER = ["task", "triggered", "executed", "queued", "aborted"]
-PAIRED_CSV_HEADER = ["seed", "d_eyes_off_pct", "d_cog_overload_pct", "d_perc_overload_pct", "d_sa_avg_pct"]
+PAIRED_CSV_HEADER = ["seed"] + [f"d_{name}" for name in METRICS_CSV_HEADER[1:]]
 TIMELINE_CSV_HEADER = [
     "time", "kind", "task", "cognitive_sum", "perceptual_sum", "awareness", "level", "road_max",
 ]
 
 #: What ``json.dumps(..., ensure_ascii=False)`` builds per call, built once.
 _TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+#: Decodes one JSON value from the start of a string; returns it and where it ends.
+_TRACE_DECODE = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -91,8 +94,6 @@ class TraceRecord:
 
 #: The trace keys, in the order ``to_json`` writes them.
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
-#: About how many bytes of trace text ``read_trace`` decodes per ``json.loads``.
-_TRACE_CHUNK_HINT = 256 * 1024
 
 
 def eyes_off_contribution(total_time: float, perception_type: str, on_road: bool) -> float:
@@ -215,12 +216,8 @@ class AggregateSummary:
 def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
     if not trials:
         raise ValueError("aggregate needs at least one trial")
-    medians = {
-        "eyes_off_pct": median_low([t.eyes_off_fraction for t in trials]),
-        "cog_overload_pct": median_low([t.cognitive_overload_fraction for t in trials]),
-        "perc_overload_pct": median_low([t.perceptual_overload_fraction for t in trials]),
-        "sa_avg_pct": median_low([t.sa_average for t in trials]),
-    }
+    columns = zip(*(t.indicator_row() for t in trials))
+    medians = {name: median_low(list(column)) for name, column in zip(METRICS_CSV_HEADER[1:], columns)}
     scatter = [[t.seed, *t.indicator_row()] for t in trials]
     return AggregateSummary(trials=len(trials), medians=medians, scatter=scatter)
 
@@ -236,31 +233,24 @@ def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
-    """Parse a trace, skipping blank lines.
+    """Parse a trace, one record per line, skipping blank lines.
 
     A line with a missing or unknown key raises TypeError; a line that is
-    not one JSON value raises json.JSONDecodeError.  The lines are decoded
-    a chunk at a time, as one JSON array; a chunk that does not decode to
-    one value per line is parsed again line by line, so the first bad
-    line raises, as it would on its own.
+    not one JSON value, with only JSON whitespace around it, raises
+    json.JSONDecodeError.  The first bad line raises.
     """
-    records: list[TraceRecord] = []
     with open(path, encoding="utf-8") as handle:
-        while chunk := handle.readlines(_TRACE_CHUNK_HINT):
-            lines = [line for line in chunk if line.strip()]
-            try:
-                rows = json.loads("[" + ",".join(lines) + "]")
-            except json.JSONDecodeError:
-                rows = None
-            if rows is None or len(rows) != len(lines):
-                records += [_trace_record(json.loads(line)) for line in lines]
-            else:
-                records += map(_trace_record, rows)
-    return records
+        return [_trace_record(line) for line in handle if not line.isspace()]
 
 
-def _trace_record(row: Any) -> TraceRecord:
-    if type(row) is dict and tuple(row) == _TRACE_FIELDS:
+def _trace_record(line: str) -> TraceRecord:
+    text = line.strip(" \t\n\r")  # the JSON whitespace around a value
+    row, end = _TRACE_DECODE(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if type(row) is dict and tuple(row) == _TRACE_FIELDS and type(row["payload"]) is dict:
+        # Each decode makes its own key strings: share one per name, or a demo trace holds ~10 MB more.
+        row["payload"] = {intern(k): v for k, v in row["payload"].items()}
         return TraceRecord(*row.values())
     return TraceRecord(**row)  # a missing or unknown key raises TypeError
 

@@ -160,8 +160,7 @@ class _Trial:
             self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, change)
         for function in scenario.cognitive_functions:
             source = f"cf:{function.name}"
-            cf = _FunctionRow(function, self.streams.stream(source), source)
-            self.calendar.schedule(driver_mod.next_trigger(function, cf.stream, 0.0), EventKind.TRIGGER, cf)
+            self._schedule_firing(_FunctionRow(function, self.streams.stream(source), source), 0.0)
 
     def _update_awareness(self) -> None:
         """Re-score awareness; called after every change to beliefs or ground truth."""
@@ -186,11 +185,15 @@ class _Trial:
 
     # -- handlers ------------------------------------------------------------------
 
-    def _on_cognitive_trigger(self, cf: _FunctionRow, now: float) -> None:
-        function = cf.function
-        next_at = driver_mod.next_trigger(function, cf.stream, now)
+    def _schedule_firing(self, cf: _FunctionRow, now: float) -> None:
+        """Draw a function's next firing; one past the horizon (even at inf) never fires."""
+        next_at = driver_mod.next_trigger(cf.function, cf.stream, now)
         if next_at <= self.length:
             self.calendar.schedule(next_at, EventKind.TRIGGER, cf)
+
+    def _on_cognitive_trigger(self, cf: _FunctionRow, now: float) -> None:
+        function = cf.function
+        self._schedule_firing(cf, now)
         enabled = self.machine.level in function.enabled_levels
         if self.trace:
             self.collector.record(

@@ -85,3 +85,37 @@ def test_traced_optimize_matches_the_untraced_optimize(tracer, tmp_path, capsys)
     spans = {name for _, name in tracer.tables["ops"]}
     assert {"experiment.local_search", "experiment.run_many"} <= spans
     assert tracer.counters["ops"]["experiment.evaluations"] == 2  # read from SearchResult.evaluations
+
+
+def test_traced_audit_matches_the_untraced_audit(tracer, tmp_path, capsys):
+    argv = [
+        "run",
+        "--tasks", str(DATA / "scripted_tasks.csv"),
+        "--elements", str(DATA / "scripted_elements.yaml"),
+        "--scenario", str(DATA / "scripted_scenario.yaml"),
+        "--seed", "3", "--length", "100", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    trace = tmp_path / "trace.jsonl"
+    vehicle = hmisim.load_scenario(DATA / "scripted_scenario.yaml").vehicle
+
+    def audit():
+        # Called through the module attributes, as the benchmark calls them.
+        records = hmisim.metrics.read_trace(trace)
+        return (
+            records,
+            hmisim.replay.replay_metrics(records, 100.0),
+            hmisim.replay.check_safety_rules(records),
+            hmisim.replay.check_tor_lead_times(records, vehicle.tor_lead_seconds, vehicle.tor_final_seconds),
+        )
+
+    plain = audit()
+    with tracer.installed(hmisim):
+        traced = audit()
+    assert traced == plain
+    assert plain[0] and plain[2].ok() and plain[3].ok()
+    assert tracer.counters["ops"]["metrics.read_trace_bytes"] == trace.stat().st_size
+    spans = {name for _, name in tracer.tables["ops"]}
+    checks = {"replay.replay_metrics", "replay.check_safety_rules", "replay.check_tor_lead_times"}
+    assert {"metrics.read_trace"} | checks <= spans

@@ -11,6 +11,8 @@ import pytest
 import hmisim
 from hmisim.cli import main
 from hmisim.experiment import ReallocateLocation, apply_move
+from hmisim.metrics import read_trace
+from hmisim.replay import check_safety_rules, replay_metrics
 from hmisim.tasks import write_tasks_csv
 
 DATA = Path(__file__).parent / "data"
@@ -232,6 +234,32 @@ def test_non_finite_input_fails_validate_and_run(tmp_path, capsys, name, old, ne
         "--scenario", str(paths["demo_scenario.yaml"]),
     ]
     assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "seed"),
+    [
+        # A normal draw at this spread overflows to an inf first firing time.
+        ("mean: 20, sigma: 5", "mean: 20, sigma: 1.0e308", 26),
+        # speed / resolution overflows: a grid finer than the float spacing.
+        ("speed: {resolution: 1}", "speed: {resolution: 1.0e-308}", 1),
+    ],
+    ids=["huge-sigma", "tiny-resolution"],
+)
+def test_extreme_finite_input_that_validates_also_runs(tmp_path, capsys, old, new, seed):
+    text = (PKG_DATA / "demo_scenario.yaml").read_text()
+    assert text.count(old) == 1
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace(old, new))
+    inputs = [*DEMO, "--scenario", str(scenario)]
+    assert main(["validate", *inputs]) == 0
+    out = tmp_path / "out"
+    assert main(["run", *inputs, "--seed", str(seed), "--length", "600", "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = read_trace(out / "trace.jsonl")
+    assert check_safety_rules(records).ok()
+    eyes_off_pct = float((out / "metrics.csv").read_text().splitlines()[1].split(",")[1])
+    assert 100.0 * replay_metrics(records, 600.0).eyes_off_seconds / 600.0 == pytest.approx(eyes_off_pct)
 
 
 @pytest.mark.parametrize(
@@ -756,6 +784,43 @@ def test_seedless_plan_runs_the_seeds_its_flags_name(tmp_path, capsys, flags, se
     capsys.readouterr()
     assert code == 0
     assert scatter_seeds(out) == {"first": expected, "second": expected}
+
+
+@pytest.mark.parametrize("repeat", ["1", "18446744073709551617"], ids=["equal", "equal-modulo-2**64"])
+def test_repeated_seed_in_a_seeds_file_is_one_located_error(tmp_path, capsys, repeat):
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text(f"1\n{repeat}\n")
+    argv = [
+        "compare", *SCRIPTED, "--tasks-b", str(DATA / "scripted_tasks.csv"), *SCRIPTED_SCENARIO,
+        "--seeds-file", str(seeds_file), "--length", "100", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 1
+    assert one_error(capsys.readouterr().err) == (
+        f"error: {seeds_file}: seed {repeat} repeats seed 1 (equal modulo 2**64); a batch runs each seed once"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_master_seed_in_a_plan_is_one_located_error(tmp_path, capsys):
+    plan = seedless_plan(tmp_path)
+    plan.write_text(plan.read_text().replace("trials_per_config: 3\n", "master_seeds: [3, 3]\n"))
+    assert main(["compare", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    assert one_error(capsys.readouterr().err) == (
+        f"error: {plan}: seed 3 repeats seed 3 (equal modulo 2**64); a batch runs each seed once"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_seed_past_the_trial_count_is_never_run(tmp_path, capsys):
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("1\n2\n1\n")
+    argv = [
+        "compare", *SCRIPTED, "--tasks-b", str(DATA / "scripted_tasks.csv"), *SCRIPTED_SCENARIO,
+        "--seeds-file", str(seeds_file), "--trials", "2", "--length", "100", "--out", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert scatter_seeds(tmp_path / "out") == {"A": [1, 2], "B": [1, 2]}
 
 
 # ---------------------------------------------------------------------------

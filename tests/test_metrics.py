@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from hmisim import metrics
 from hmisim.attention import AbortReason
 from hmisim.metrics import (
     COUNTS_CSV_HEADER,
@@ -267,7 +266,7 @@ def test_read_trace_round_trips_a_trace_longer_than_one_chunk(tmp_path):
     records, lines = long_trace(6000)
     path = tmp_path / "trace.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
-    assert path.stat().st_size > 2 * metrics._TRACE_CHUNK_HINT
+    assert path.stat().st_size > 512 * 1024
     assert read_trace(path) == records
 
 
@@ -289,8 +288,7 @@ BAD_LINES = {
 
 
 @pytest.mark.parametrize(("bad", "error"), BAD_LINES.values(), ids=list(BAD_LINES))
-def test_read_trace_rejects_a_bad_line_in_a_later_chunk(tmp_path, monkeypatch, bad, error):
-    monkeypatch.setattr(metrics, "_TRACE_CHUNK_HINT", 4096)
+def test_read_trace_rejects_a_bad_line_in_a_later_chunk(tmp_path, bad, error):
     _, lines = long_trace(300)
     lines.insert(250, bad(json.loads(make_record().to_json())) + "\n")
     path = tmp_path / "trace.jsonl"
@@ -311,6 +309,52 @@ def test_read_trace_raises_for_the_first_bad_line(tmp_path, first, error):
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(error):
         read_trace(path)
+
+
+def test_read_trace_rejects_lines_that_join_into_records(tmp_path):
+    # Cut inside the payload list, the first two lines join into one record
+    # across the line break, and the third line holds two records: three
+    # lines, three values if decoded as one array, yet no line is a record.
+    whole = make_record(payload={"xs": [[1], [2]]}).to_json()
+    head, tail = whole.split(", [2]")
+    path = tmp_path / "trace.jsonl"
+    path.write_text(f"{head}\n[2]{tail}\n{whole}, {whole}\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("blank", ["\x0c\n", "\u00a0\n", " \x0c\u00a0\t\n"])
+def test_read_trace_skips_a_line_that_str_strip_empties(tmp_path, blank):
+    records = [make_record(time=float(i)) for i in range(2)]
+    path = tmp_path / "trace.jsonl"
+    path.write_text(records[0].to_json() + "\n" + blank + records[1].to_json() + "\n", encoding="utf-8")
+    assert read_trace(path) == records
+
+
+@pytest.mark.parametrize("around", [("\x0c", ""), ("", "\x0c"), ("\u00a0", "")])
+def test_read_trace_allows_only_json_whitespace_around_a_record(tmp_path, around):
+    before, after = around
+    path = tmp_path / "trace.jsonl"
+    path.write_text(f" \t{before}{make_record().to_json()}{after} \r\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        read_trace(path)
+
+
+def test_read_trace_keeps_json_whitespace_around_a_record(tmp_path):
+    record = make_record()
+    path = tmp_path / "trace.jsonl"
+    path.write_text(f" \t{record.to_json()}\t \r\n", encoding="utf-8")
+    assert read_trace(path) == [record]
+
+
+def test_read_trace_shares_one_string_per_payload_key(tmp_path):
+    # One string per record and key would add about 10 MB to a demo trace.
+    records, lines = long_trace(50)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    keys = [key for record in read_trace(path) for key in record.payload]
+    assert len(keys) == 100
+    assert len({id(key) for key in keys}) == len(set(keys)) == 2
 
 
 def test_metrics_csv(tmp_path):

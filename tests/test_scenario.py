@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import sys
 import textwrap
 from importlib import resources
 from pathlib import Path
@@ -537,9 +538,12 @@ KEY_PATHS = [
 ]
 
 #: Unbounded ``st.integers()`` practically never leaves the float range, so the
-#: overflowing integers and tiny positive intervals are drawn on purpose; the
-#: in-range floats (from ``MIN_INTERVAL`` up) let accepted scenarios reach the trial.
-EDGE_NUMBERS = st.sampled_from([10**400, -(10**400), 1e-300, 0.05]) | st.floats(min_value=0.1, max_value=1e3)
+#: overflowing integers, the extreme finite floats and tiny positive intervals are
+#: drawn on purpose; the in-range floats (from ``MIN_INTERVAL`` up) let accepted
+#: scenarios reach the trial.
+EDGE_NUMBERS = st.sampled_from(
+    [10**400, -(10**400), 1e-300, 1e-308, sys.float_info.max, 0.05]
+) | st.floats(min_value=0.1, max_value=1e3)
 SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | EDGE_NUMBERS
 YAML_VALUES = st.recursive(
     SCALARS,
@@ -574,6 +578,7 @@ def quiet_main(argv):
 @given(path=st.sampled_from(KEY_PATHS), value=YAML_VALUES)
 @example(path=("speed", "cycle", "period"), value=0.1)
 @example(path=("awareness", "speed", "initial"), value=10**400)
+@example(path=("awareness", "speed", "resolution"), value=1e-308)
 def test_generated_scenario_is_loaded_or_rejected(generated, demo_config, path, value):
     scenario = generated / "scenario.yaml"
     scenario.write_text(yaml.safe_dump(replaced(DEMO_SCENARIO, path, value)))
