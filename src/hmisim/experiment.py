@@ -611,11 +611,15 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         p = Path(value)
         return p if p.is_absolute() else base / p
 
+    def given(mapping: dict, key: str) -> bool:
+        """A key whose value is null or empty text counts as missing."""
+        return mapping.get(key) not in (None, "")
+
     configurations: list[NamedConfiguration] = []
     names_seen: set[str] = set()
     for i, entry in enumerate(as_list(raw.get("configurations"), "configurations", where, issues)):
         spot = f"{where} configurations[{i}]"
-        if not isinstance(entry, dict) or not {"name", "tasks", "elements"} <= set(entry):
+        if not isinstance(entry, dict) or not all(given(entry, key) for key in ("name", "tasks", "elements")):
             issues.append(Violation("error", spot, "needs name, tasks and elements"))
             continue
         name = str(entry["name"])
@@ -635,7 +639,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if not configurations and not issues:
         issues.append(Violation("error", where, "plan needs at least one configuration"))
 
-    if "scenario" not in raw:
+    if not given(raw, "scenario"):
         issues.append(Violation("error", where, "plan needs a scenario path"))
         scenario_path = Path(".")
     else:
@@ -691,7 +695,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if issues:
         raise PlanError(issues)
     return ExperimentPlan(
-        name=str(raw.get("name", path.stem)),
+        name=str(raw["name"]) if given(raw, "name") else path.stem,
         scenario_path=scenario_path,
         configurations=configurations,
         master_seeds=seeds,

@@ -12,19 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason
 from .metrics import TraceRecord
-
-
-@dataclass
-class _TrackedTask:
-    task: str
-    channel: str
-    cognitive: float
-    perceptual: float
-    on_road: bool = False
-    total_time: float = 0.0
 
 
 @dataclass
@@ -55,8 +46,9 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
     recompute it.  Every record closes the stretch since the one before,
     so overload accrues one term per record, then one per machine abort.
     """
-    active: dict[int, _TrackedTask] = {}
-    queued: dict[int, _TrackedTask] = {}
+    # each instance maps to its own task-start or task-queued payload, never modified
+    active: dict[int, dict[str, Any]] = {}
+    queued: dict[int, dict[str, Any]] = {}
     aborts: list[tuple[AbortReason, float]] = []
     eyes_off = cognitive = perceptual = sa_integral = 0.0
     last_time = 0.0
@@ -79,38 +71,26 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
         if kind == "task-start":
             uid = payload["instance"]
             queued.pop(uid, None)
-            active[uid] = _TrackedTask(
-                task=payload["task"],
-                channel=payload["channel"],
-                cognitive=payload["cognitive"],
-                perceptual=payload["perceptual"],
-                on_road=payload["on_road"],
-                total_time=payload["total_time"],
-            )
+            active[uid] = payload
         elif kind == "task-queued" and not payload["coalesced"]:
-            queued[payload["instance"]] = _TrackedTask(
-                task=payload["task"],
-                channel=payload["channel"],
-                cognitive=payload["cognitive"],
-                perceptual=payload["perceptual"],
-            )
+            queued[payload["instance"]] = payload
         elif kind == "task-end":
             entry = active.pop(payload["instance"], None)
-            if entry is not None and payload["completed"] and entry.channel == "visual" and not entry.on_road:
-                eyes_off += entry.total_time  # a completed glance away from the road
+            if entry is not None and payload["completed"] and entry["channel"] == "visual" and not entry["on_road"]:
+                eyes_off += entry["total_time"]  # a completed glance away from the road
         else:
             if kind == "task-abort":
                 aborts.append((AbortReason(payload["reason"]), payload["total_time"]))
             continue
-        busy = {t.channel for t in active.values()}
+        busy = {t["channel"] for t in active.values()}
         cognitive_over = (
-            math.fsum(t.cognitive for t in active.values()) + math.fsum(t.cognitive for t in queued.values())
+            math.fsum(t["cognitive"] for t in active.values()) + math.fsum(t["cognitive"] for t in queued.values())
             > CAPACITY + CAP_TOLERANCE
         )
         perceptual_over = (
-            math.fsum(t.perceptual for t in active.values()) + math.fsum(t.perceptual for t in queued.values())
+            math.fsum(t["perceptual"] for t in active.values()) + math.fsum(t["perceptual"] for t in queued.values())
             > CAPACITY + CAP_TOLERANCE
-            or any(w.channel in busy for w in queued.values())
+            or any(w["channel"] in busy for w in queued.values())
         )
     if cognitive_over or perceptual_over:
         dt = max(trial_length - last_time, 0.0)
@@ -135,7 +115,7 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
 def check_safety_rules(records: list[TraceRecord]) -> ReplayReport:
     """Audit the hard admission rules over a trace."""
     report = ReplayReport()
-    active: dict[int, _TrackedTask] = {}
+    active: dict[int, dict[str, Any]] = {}
     starts = 0
     ends = 0
     last_time = -math.inf
@@ -147,20 +127,15 @@ def check_safety_rules(records: list[TraceRecord]) -> ReplayReport:
         if record.kind == "task-start":
             starts += 1
             channel = payload["channel"]
-            holders = [t for t in active.values() if t.channel == channel]
+            holders = [t for t in active.values() if t["channel"] == channel]
             if holders:
                 report.violations.append(
                     f"t={record.time}: channel {channel} double-occupied by "
-                    f"{holders[0].task} and {payload['task']}"
+                    f"{holders[0]['task']} and {payload['task']}"
                 )
-            active[payload["instance"]] = _TrackedTask(
-                task=payload["task"],
-                channel=channel,
-                cognitive=payload["cognitive"],
-                perceptual=payload["perceptual"],
-            )
-            cog = math.fsum(t.cognitive for t in active.values())
-            perc = math.fsum(t.perceptual for t in active.values())
+            active[payload["instance"]] = payload
+            cog = math.fsum(t["cognitive"] for t in active.values())
+            perc = math.fsum(t["perceptual"] for t in active.values())
             if cog > CAPACITY + CAP_TOLERANCE:
                 report.violations.append(
                     f"t={record.time}: active cognitive sum {cog} exceeds {CAPACITY}"

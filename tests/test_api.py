@@ -33,6 +33,22 @@ def test_every_imported_name_is_exported():
     assert sorted(imported - set(hmisim.__all__)) == []
 
 
+def test_replay_shares_no_accrual_code_with_the_simulator():
+    """Replay stays an independent oracle: from the package it takes the record type and the caps only.
+
+    So nothing of ``trial``, ``experiment``, ``driver``, ``vehicle`` or ``MetricsCollector``.
+    """
+    tree = ast.parse(Path(hmisim.replay.__file__).read_text())
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault("." * node.level + (node.module or ""), set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.name, set()) for alias in node.names)
+    own = {module: names for module, names in imported.items() if module.startswith((".", "hmisim"))}
+    assert own == {".metrics": {"TraceRecord"}, ".attention": {"CAPACITY", "CAP_TOLERANCE", "AbortReason"}}
+
+
 @pytest.fixture
 def tracer(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))

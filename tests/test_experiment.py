@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -633,6 +634,33 @@ def test_plan_rejects_bad_values(tmp_path, capsys, extra, fragment):
     assert fragment in str(err.value)
     assert main(["compare", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("key", "fragment"),
+    [
+        ("scenario", "plan needs a scenario path"),
+        ("tasks", "configurations[0]: needs name, tasks and elements"),
+        ("elements", "configurations[0]: needs name, tasks and elements"),
+        ("name", "configurations[0]: needs name, tasks and elements"),
+    ],
+)
+@pytest.mark.parametrize("empty", ["null", "''"])
+def test_plan_treats_a_null_or_empty_path_or_name_as_missing(tmp_path, capsys, key, fragment, empty):
+    body, count = re.subn(rf"\b{key}: [\w.]+", f"{key}: {empty}", MINIMAL_PLAN)
+    assert count == 1
+    plan = write_plan(tmp_path, body)
+    with pytest.raises(PlanError) as err:
+        load_plan(plan)
+    assert len(err.value.violations) == 1
+    assert fragment in str(err.value)
+    assert main(["compare", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty", ["null", "''"])
+def test_plan_with_a_null_or_empty_name_is_named_after_its_file(tmp_path, empty):
+    assert load_plan(write_plan(tmp_path, MINIMAL_PLAN + f"name: {empty}\n")).name == "plan"
 
 
 def test_plan_needs_scenario_and_configurations(tmp_path):

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from hmisim.metrics import TraceRecord, read_trace, write_trace
-from hmisim.replay import ReplayedMetrics, replay_metrics
+from hmisim.replay import ReplayedMetrics, check_safety_rules, check_tor_lead_times, replay_metrics
 from hmisim.trial import run_trial
 
 # ---------------------------------------------------------------------------
@@ -19,14 +19,20 @@ REPLAY_PINS = {
     ("demo", 2, 12000.0): ("2767.600000000013", "127.87065946420498", "335.84755740727496", "10469.843583687758"),
     ("demo", 3, 12000.0): ("2718.400000000015", "120.41903358150165", "379.9601527793707", "10264.727859855113"),
     ("scripted", 1, 100.0): ("5.6", "0.0", "0.0", "81.0"),
+    # 20 on-road ad_available_msg glances: the on-road half of the eyes-off rule
+    ("optimized", 1, 12000.0): ("2655.400000000008", "129.01602975044383", "281.88345781781857", "10100.68841012293"),
 }
 
 
 @pytest.mark.parametrize(("design", "seed", "length"), list(REPLAY_PINS))
 def test_replay_bits_are_pinned(
-    tmp_path, design, seed, length, demo_config, demo_scenario, scripted_config, scripted_scenario
+    tmp_path, design, seed, length, demo_config, demo_scenario, optimized_config, scripted_config, scripted_scenario
 ):
-    designs = {"demo": (demo_config, demo_scenario), "scripted": (scripted_config, scripted_scenario)}
+    designs = {
+        "demo": (demo_config, demo_scenario),
+        "optimized": (optimized_config, demo_scenario),
+        "scripted": (scripted_config, scripted_scenario),
+    }
     records = run_trial(*designs[design], seed, length).records
     path = tmp_path / "trace.jsonl"
     write_trace(records, path)
@@ -34,6 +40,27 @@ def test_replay_bits_are_pinned(
     replayed = replay_metrics(records, length)
     fields = tuple(repr(getattr(replayed, f.name)) for f in dataclasses.fields(ReplayedMetrics))
     assert fields == REPLAY_PINS[design, seed, length]
+
+
+def test_the_audits_leave_their_input_unchanged(tmp_path, demo_config, demo_scenario):
+    """The audits track instances through the records' own payloads; they must not modify them."""
+    length = 12000.0
+    path = tmp_path / "trace.jsonl"
+    write_trace(run_trial(demo_config, demo_scenario, 1, length).records, path)
+    records = read_trace(path)
+    vehicle = demo_scenario.vehicle
+
+    def audit():
+        return (
+            replay_metrics(records, length),
+            check_safety_rules(records),
+            check_tor_lead_times(records, vehicle.tor_lead_seconds, vehicle.tor_final_seconds),
+        )
+
+    first = audit()
+    assert audit() == first
+    assert first[1].ok() and first[2].ok()
+    assert records == read_trace(path)
 
 
 # ---------------------------------------------------------------------------
