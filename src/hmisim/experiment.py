@@ -29,7 +29,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Any, Iterable, Union
 
 from .metrics import AggregateSummary, TrialMetrics, aggregate
 from .scenario import Scenario, load_scenario
@@ -596,7 +596,9 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     """Load an experiment plan; relative paths resolve against the plan file.
 
     ``master_seeds`` is either an explicit list or ``{first, count}``;
-    omitted it is ``[]``: the plan names no seeds.
+    omitted it is ``[]``: the plan names no seeds.  An optional key set to
+    null, at the top level or inside ``weights`` and ``master_seeds``,
+    counts as left out.
     """
     path = Path(path)
     where = str(path)
@@ -614,6 +616,10 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     def given(mapping: dict, key: str) -> bool:
         """A key whose value is null or empty text counts as missing."""
         return mapping.get(key) not in (None, "")
+
+    def optional(mapping: dict, key: str, default: Any) -> Any:
+        value = mapping.get(key)
+        return default if value is None else value
 
     configurations: list[NamedConfiguration] = []
     names_seen: set[str] = set()
@@ -648,7 +654,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     raw_seeds = raw.get("master_seeds")
     seeds: list[int] = []
     if isinstance(raw_seeds, dict):
-        first = as_integer(raw_seeds.get("first", 1), "master_seeds first", where, issues)
+        first = as_integer(optional(raw_seeds, "first", 1), "master_seeds first", where, issues)
         count = as_integer(
             raw_seeds.get("count"), "master_seeds count", where, issues, at_least=1, at_most=MAX_TRIALS
         )
@@ -669,7 +675,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
             Violation("error", where, f"{trials} trials per config but only {len(seeds)} master seeds")
         )
 
-    length = as_number(raw.get("trial_length", DEFAULT_TRIAL_LENGTH), "trial_length", where, issues, above=0)
+    length = as_number(optional(raw, "trial_length", DEFAULT_TRIAL_LENGTH), "trial_length", where, issues, above=0)
     sa_floor = raw.get("sa_floor")
     if sa_floor is not None:
         sa_floor = as_number(sa_floor, "sa_floor", where, issues, at_least=0, at_most=100)
@@ -680,7 +686,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 
     raw_weights = as_mapping(raw.get("weights"), "weights", where, issues)
     parts = {
-        key: as_number(raw_weights.get(key, 1.0), f"{key} weight", where, issues, at_least=0)
+        key: as_number(optional(raw_weights, key, 1.0), f"{key} weight", where, issues, at_least=0)
         for key in ("cognitive", "perceptual", "eyes_off")
     }
     weights = ObjectiveWeights()
@@ -690,7 +696,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         except ValueError as exc:  # every weight zero
             issues.append(Violation("error", where, f"bad weights: {exc}"))
 
-    jobs = as_integer(raw.get("jobs", 1), "jobs", where, issues, at_least=1) or 1
+    jobs = as_integer(optional(raw, "jobs", 1), "jobs", where, issues, at_least=1) or 1
 
     if issues:
         raise PlanError(issues)

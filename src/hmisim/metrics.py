@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from statistics import median_low  # for an even count, the lower middle; re-exported as hmisim.median_low
 from sys import intern
 from typing import Any, Iterable
 
@@ -198,14 +199,6 @@ class MetricsCollector:
 # ---------------------------------------------------------------------------
 # aggregation
 
-def median_low(values: list[float]) -> float:
-    """Median; for even counts the lower of the two middle values."""
-    if not values:
-        raise ValueError("median of an empty list")
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 @dataclass
 class AggregateSummary:
     trials: int
@@ -217,7 +210,7 @@ def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
     if not trials:
         raise ValueError("aggregate needs at least one trial")
     columns = zip(*(t.indicator_row() for t in trials))
-    medians = {name: median_low(list(column)) for name, column in zip(METRICS_CSV_HEADER[1:], columns)}
+    medians = {name: median_low(column) for name, column in zip(METRICS_CSV_HEADER[1:], columns)}
     scatter = [[t.seed, *t.indicator_row()] for t in trials]
     return AggregateSummary(trials=len(trials), medians=medians, scatter=scatter)
 

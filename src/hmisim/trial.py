@@ -33,6 +33,7 @@ from .vehicle import (
     RoadSegment,
     RoadTimeline,
     TorPayload,
+    TransitionResult,
     generate_timeline,
     schedule_tor,
 )
@@ -115,19 +116,17 @@ class _Trial:
             for t in config.tasks
         }
         self.calendar = EventCalendar()
-        self.streams = RandomStreams(seed)
+        streams = RandomStreams(seed)
         self._uids = count(1)
 
         if isinstance(scenario.road, RoadTimeline):
-            self.timeline = _clip_timeline(scenario.road, trial_length)
+            timeline = _clip_timeline(scenario.road, trial_length)
         else:
-            self.timeline = generate_timeline(
-                scenario.road, self.streams.stream(ROAD_STREAM), trial_length
-            )
+            timeline = generate_timeline(scenario.road, streams.stream(ROAD_STREAM), trial_length)
 
         self.truth: dict[str, Any] = {}
         self.machine = AutomationStateMachine(
-            timeline=self.timeline,
+            timeline=timeline,
             initial_level=scenario.vehicle.initial_level,
             bindings=scenario.bindings,
             truth=self.truth,
@@ -147,10 +146,10 @@ class _Trial:
         # Everything time-driven is scheduled before the clock starts:
         # road boundaries, take-over requests, the speed script chain, and
         # the first firing of every cognitive function.
-        for segment in self.timeline.segments[1:]:
+        for segment in timeline.segments[1:]:
             self.calendar.schedule(segment.start, EventKind.ROAD_CHANGE, segment)
         schedule_tor(
-            self.timeline,
+            timeline,
             self.calendar,
             scenario.vehicle.tor_lead_seconds,
             scenario.vehicle.tor_final_seconds,
@@ -160,7 +159,7 @@ class _Trial:
             self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, change)
         for function in scenario.cognitive_functions:
             source = f"cf:{function.name}"
-            self._schedule_firing(_FunctionRow(function, self.streams.stream(source), source), 0.0)
+            self._schedule_firing(_FunctionRow(function, streams.stream(source), source), 0.0)
 
     def _update_awareness(self) -> None:
         """Re-score awareness; called after every change to beliefs or ground truth."""
@@ -276,23 +275,28 @@ class _Trial:
                 {"task": row.task.name, "instance": instance.uid, **row.start, "source": source},
             )
 
-    def _on_task_end(self, instance: TaskInstance, now: float) -> None:
-        task = instance.task
-        row = self.rows[task.name]
-        admitted = self.attention.release(instance, now)
-        self.collector.count(task.name).executed += 1
-        self.collector.add_eyes_off(row.eyes_off)
+    def _release(self, instance: TaskInstance, now: float, completed: bool) -> list[TaskInstance]:
+        """Free an instance and record its end; a completed end returns the queued instances it admits."""
+        admitted = self.attention.release(instance, now, admit=completed)
         if self.trace:
             self.collector.record(
                 now,
                 "task-end",
                 {
-                    "task": task.name,
+                    "task": instance.task.name,
                     "instance": instance.uid,
-                    "completed": True,
+                    "completed": completed,
                     "started_at": instance.started_at,
                 },
             )
+        return admitted
+
+    def _on_task_end(self, instance: TaskInstance, now: float) -> None:
+        task = instance.task
+        row = self.rows[task.name]
+        admitted = self._release(instance, now, completed=True)
+        self.collector.count(task.name).executed += 1
+        self.collector.add_eyes_off(row.eyes_off)
         for waiting in admitted:
             self._start_instance(self.rows[waiting.task.name], waiting, now, f"dequeued:{waiting.source}")
         parameter = task.awareness_parameter
@@ -323,19 +327,7 @@ class _Trial:
         result = self.machine.transition(control.action, control.target)
         self._update_awareness()
         if self.trace:
-            self.collector.record(
-                now,
-                "vehicle-transition",
-                {
-                    "change": "level",
-                    "cause": f"control:{task_name}",
-                    "action": control.action,
-                    "granted": result.granted,
-                    "previous": result.previous_level,
-                    "level": result.level,
-                    "note": result.note,
-                },
-            )
+            self._record_level(now, result, f"control:{task_name}", control.action)
         self._emit_bound(result.emitted, now, source="binding:level_change")
 
     def _on_boundary(self, segment: RoadSegment, now: float) -> None:
@@ -347,19 +339,25 @@ class _Trial:
                 now, "road-change", {"max_level": segment.max_level, "previous_max": previous_max}
             )
             if result.level_changed:
-                self.collector.record(
-                    now,
-                    "vehicle-transition",
-                    {
-                        "change": "level",
-                        "cause": "availability-drop",
-                        "granted": True,
-                        "previous": result.previous_level,
-                        "level": result.level,
-                        "note": result.note,
-                    },
-                )
+                self._record_level(now, result, "availability-drop")
         self._emit_bound(result.emitted, now, source="binding:availability")
+
+    def _record_level(self, now: float, result: TransitionResult, cause: str, action: str | None = None) -> None:
+        """Record a level vehicle-transition; only a driver control has an ``action``."""
+        head: dict[str, Any] = {"change": "level", "cause": cause}
+        if action is not None:
+            head["action"] = action
+        self.collector.record(
+            now,
+            "vehicle-transition",
+            {
+                **head,
+                "granted": result.granted,
+                "previous": result.previous_level,
+                "level": result.level,
+                "note": result.note,
+            },
+        )
 
     def _on_tor(self, payload: TorPayload, now: float) -> None:
         active, emitted = self.machine.on_tor(payload)
@@ -400,17 +398,7 @@ class _Trial:
         active = self.attention.active_instances()
         leftover_queue = [q.task.name for q in self.attention.queued_instances()]
         for instance in active:
-            self.attention.release(instance, self.length, admit=False)
-            self.collector.record(
-                self.length,
-                "task-end",
-                {
-                    "task": instance.task.name,
-                    "instance": instance.uid,
-                    "completed": False,
-                    "started_at": instance.started_at,
-                },
-            )
+            self._release(instance, self.length, completed=False)
         self.collector.record(
             self.length,
             "trial-end",

@@ -160,11 +160,14 @@ def schedule_tor(
 @dataclass
 class TransitionResult:
     granted: bool
-    level_changed: bool
     previous_level: int
     level: int
     emitted: list[str] = field(default_factory=list)
     note: str = ""
+
+    @property
+    def level_changed(self) -> bool:
+        return self.level != self.previous_level
 
 
 #: Vehicle events that emit bound machine tasks, in the order they are parsed and checked.
@@ -210,7 +213,6 @@ class AutomationStateMachine:
             if target > self.current_max:
                 return TransitionResult(
                     granted=False,
-                    level_changed=False,
                     previous_level=self.level,
                     level=self.level,
                     note=f"switch-up to {target} rejected: max available is {self.current_max}",
@@ -222,14 +224,11 @@ class AutomationStateMachine:
     def _set_level(self, target: int) -> TransitionResult:
         previous = self.level
         if target == previous:
-            return TransitionResult(
-                granted=True, level_changed=False, previous_level=previous, level=previous
-            )
+            return TransitionResult(granted=True, previous_level=previous, level=previous)
         self.level = target
         self.truth[PARAM_LEVEL] = target
         return TransitionResult(
             granted=True,
-            level_changed=True,
             previous_level=previous,
             level=target,
             emitted=self.bindings.get(("level_change", "any"), [])
@@ -253,7 +252,6 @@ class AutomationStateMachine:
         if self.level <= new_max:
             return TransitionResult(
                 granted=True,
-                level_changed=False,
                 previous_level=self.level,
                 level=self.level,
                 emitted=emitted,

@@ -383,6 +383,7 @@ def test_wrong_shape_scenario_section_is_one_located_error(tmp_path, capsys, old
         ("--elements", "- {name: cluster}\n", ": element must be a mapping, got [{'name': 'cluster'}]"),
         ("--scale", "scale: 5\n", ": scale must be a mapping, got 5"),
         ("--scenario", "[road]\n", ": scenario must be a mapping, got ['road']"),
+        ("--scenario", "road: [\n", ": YAML parse failure: while parsing a flow node"),
     ],
 )
 def test_wrong_shape_yaml_file_is_one_located_error(tmp_path, capsys, flag, body, message):
@@ -576,6 +577,17 @@ def test_bad_seeds_file(tmp_path, capsys, hud_variant):
     ])
     assert code == 1
     assert "not an integer seed" in capsys.readouterr().err
+
+
+def test_seeds_file_of_a_comment_and_a_blank_line_holds_no_seeds(tmp_path, capsys, hud_variant):
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("# none yet\n\n")
+    code = main([
+        "compare", *SCRIPTED, "--tasks-b", str(hud_variant), *SCRIPTED_SCENARIO,
+        "--seeds-file", str(seeds_file), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert one_error(capsys.readouterr().err) == f"error: {seeds_file}: seeds file holds no seeds"
 
 
 def compare_error(argv, capsys):
@@ -856,6 +868,18 @@ def test_optimize_budget_zero_prints_and_logs_only_that_nothing_ran(tmp_path, ca
         "# budget 0: no evaluations, design unchanged",
     ]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["moves.log", "optimized_tasks.csv"]
+
+
+def test_optimize_logs_an_infeasible_initial_design(tmp_path, capsys):
+    code = main([
+        "optimize", *SCRIPTED, *SCRIPTED_SCENARIO, "--sa-floor", "100", "--budget", "1",
+        "--trials", "1", "--length", "100", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    assert (tmp_path / "moves.log").read_text().splitlines()[2] == (
+        "# initial design infeasible: sa 81.0 below floor 100; seeking feasibility first"
+    )
 
 
 def test_optimize_with_no_move_to_evaluate_reports_the_batch_it_ran(tmp_path, capsys):

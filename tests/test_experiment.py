@@ -671,6 +671,20 @@ def test_plan_needs_scenario_and_configurations(tmp_path):
     assert "needs a scenario path" in text
 
 
+@pytest.mark.parametrize(
+    ("extra", "field", "expected"),
+    [
+        ("trial_length: null\n", "trial_length", 60_000.0),
+        ("jobs: null\n", "jobs", 1),
+        ("weights: {cognitive: null}\n", "weights", ObjectiveWeights(1.0, 1.0, 1.0)),
+        ("master_seeds: {first: null, count: 3}\n", "master_seeds", [1, 2, 3]),
+    ],
+)
+def test_plan_optional_key_set_to_null_counts_as_left_out(tmp_path, extra, field, expected):
+    plan = load_plan(write_plan(tmp_path, MINIMAL_PLAN + extra))
+    assert getattr(plan, field) == expected
+
+
 def test_plan_rejects_duplicate_configuration_names(tmp_path):
     body = MINIMAL_PLAN + "  - {name: base, tasks: other.csv, elements: elements.yaml}\n"
     with pytest.raises(PlanError) as err:

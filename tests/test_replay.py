@@ -138,3 +138,102 @@ def test_replay_of_an_empty_trace():
 def test_replay_integrates_awareness_between_records():
     records = [rec(0.0, "init", awareness=1.0), rec(4.0, "memory-update", awareness=0.5)]
     assert replay_metrics(records, 10.0).sa_average(10.0) == 70.0
+
+
+# ---------------------------------------------------------------------------
+# the audits on hand-built faulty traces
+
+
+def tor(time, phase="TOR60", boundary=100.0):
+    return rec(time, "vehicle-transition", change="tor", phase=phase, boundary=boundary, segment_start=0.0)
+
+
+#: Two tasks on different channels, their ends, and an early take-over request on time.
+CLEAN_TRACE = [
+    rec(0.0, "init", seed=1, trial_length=100.0),
+    start(1.0, 1, "visual", 3.0, 4.0),
+    start(2.0, 2, "auditory-vocal", 5.0, 5.0),
+    end(3.0, 1),
+    end(4.0, 2),
+    tor(40.0),
+]
+
+
+def audit(records):
+    return check_safety_rules(records).violations + check_tor_lead_times(records).violations
+
+
+def replaced(index, record):
+    return CLEAN_TRACE[:index] + [record] + CLEAN_TRACE[index + 1:]
+
+
+def inserted(index, record):
+    return CLEAN_TRACE[:index] + [record] + CLEAN_TRACE[index:]
+
+
+def test_the_hand_built_trace_audits_clean():
+    assert audit(CLEAN_TRACE) == []
+
+
+@pytest.mark.parametrize(
+    ("records", "violations"),
+    [
+        pytest.param(
+            CLEAN_TRACE + [rec(39.0, "trigger", function="f")],
+            ["time went backwards at 39.0"],
+            id="time-backwards",
+        ),
+        pytest.param(
+            replaced(2, start(2.0, 2, "visual", 5.0, 5.0)),
+            ["t=2.0: channel visual double-occupied by t1 and t2"],
+            id="double-occupied",
+        ),
+        pytest.param(
+            replaced(2, start(2.0, 2, "auditory-vocal", 8.0, 5.0)),
+            ["t=2.0: active cognitive sum 11.0 exceeds 10.0"],
+            id="cognitive-over",
+        ),
+        pytest.param(
+            replaced(2, start(2.0, 2, "auditory-vocal", 5.0, 7.0)),
+            ["t=2.0: active perceptual sum 11.0 exceeds 10.0"],
+            id="perceptual-over",
+        ),
+        pytest.param(
+            inserted(3, rec(2.5, "task-queued", task="m", instance=3, initiator="machine", coalesced=False)),
+            ["t=2.5: machine task m was queued"],
+            id="machine-queued",
+        ),
+        pytest.param(
+            inserted(3, rec(2.5, "task-abort", task="d", instance=3, initiator="driver")),
+            ["t=2.5: driver task d was aborted"],
+            id="driver-aborted",
+        ),
+        pytest.param(
+            inserted(5, end(4.5, 9)),
+            ["t=4.5: end of instance 9 that never started", "unbalanced start/end records: 2 starts, 3 ends"],
+            id="end-never-started",
+        ),
+        pytest.param(
+            replaced(3, dataclasses.replace(end(3.0, 1), level=3, road_max=2)),
+            ["t=3.0: automation level 3 above road cap 2"],
+            id="level-above-cap",
+        ),
+        pytest.param(
+            CLEAN_TRACE[:4] + CLEAN_TRACE[5:],
+            ["unbalanced start/end records: 2 starts, 1 ends", "1 instances never released"],
+            id="unbalanced",
+        ),
+        pytest.param(
+            replaced(4, end(4.0, 9)),
+            ["t=4.0: end of instance 9 that never started", "1 instances never released"],
+            id="never-released",
+        ),
+        pytest.param(
+            replaced(5, tor(41.0)),
+            ["TOR60 at t=41.0: expected 40.0 (boundary 100.0, segment start 0.0)"],
+            id="tor-off-its-instant",
+        ),
+    ],
+)
+def test_each_audit_reports_its_fault(records, violations):
+    assert audit(records) == violations

@@ -74,6 +74,20 @@ def test_speed_cycle_wraps_values():
     assert tenth.next_change(43 * 0.1) == (44 * 0.1, 1.0)
 
 
+def test_speed_steps_from_a_scenario_file_drive_a_trial(tmp_path, scripted_config):
+    text = (Path(__file__).parent / "data" / "scripted_scenario.yaml").read_text()
+    assert text.count("constant: 50") == 1
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace("constant: 50", "steps: [[0, 50], [30, 80], [60, 50]]"))
+    records = run_trial(scripted_config, load_scenario(path), seed=1, trial_length=100.0).records
+    speeds = [
+        (r.time, r.payload["speed"])
+        for r in records
+        if r.kind == "vehicle-transition" and r.payload["change"] == "speed"
+    ]
+    assert speeds == [(30.0, 80.0), (60.0, 50.0)]
+
+
 # ---------------------------------------------------------------------------
 # loading
 
@@ -183,11 +197,17 @@ def test_missing_file_raises(tmp_path):
             "reachable level 4 has no dwell",
         ),
         (
+            "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: 10, min: 10, max: 5}\n"
+            "    transitions:\n      2: {}\n",
+            "road: dwell bounds for level 2 need min <= max",
+        ),
+        (
             "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: 10}\n"
             "    transitions:\n      2: {2: 1}\n",
             "self-transition",
         ),
         (MINIMAL + "speed:\n  steps:\n    - [5, 50]\n", "must start at time 0"),
+        (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - 7\n", "speed: steps[1] must be [time, value]"),
         (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [0, 60]\n", "must increase"),
         (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [.nan, 60]\n", "speed: steps[1] time must be finite, got nan"),
         (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - [5, .nan]\n", "speed: steps[1] value must be finite, got nan"),
@@ -196,6 +216,7 @@ def test_missing_file_raises(tmp_path):
             MINIMAL + "speed:\n  cycle: {period: 1.0e-6, values: [5]}\n",
             "speed: cycle period must be >= 0.1 and finite, got 1e-06",
         ),
+        (MINIMAL + "speed:\n  cycle: {period: 120, values: []}\n", "speed: cycle needs a non-empty values list"),
         (MINIMAL + "speed:\n  warp: 9\n", "one of constant/steps/cycle"),
         (MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 0}\n", "[0]: mean must be >= 0.1 and finite, got 0"),
         (MINIMAL + "cognitive_functions:\n  - {name: a, task: t, mean: 5, sigma: -1}\n", "sigma"),

@@ -273,6 +273,21 @@ def test_all_row_errors_collected_not_just_first(tmp_path):
 
 
 @pytest.mark.parametrize(
+    ("cells", "where", "message"),
+    [
+        ({"name": ""}, "row 2", "Name is required"),
+        ({"name": "d", "duration": ""}, "row 2 (d)", "Duration is required"),
+        ({"name": "p", "priority": ""}, "row 2 (p)", "Priority is required"),
+    ],
+)
+def test_empty_required_cell_is_one_located_error(tmp_path, cells, where, message):
+    task_file, element_file = write_inputs(tmp_path, [row(**cells)])
+    with pytest.raises(ConfigurationError) as err:
+        load_configuration(task_file, element_file)
+    assert [(v.where, v.message) for v in err.value.violations] == [(f"{task_file} {where}", message)]
+
+
+@pytest.mark.parametrize(
     ("raw", "expected"),
     [
         ("visual", AttentionalChannel.VISUAL),
