@@ -17,8 +17,9 @@ Three layers sit on top of the single-trial runner:
   search then accepts only awareness-raising moves until it is feasible.
 
 The search budget counts candidate evaluations (one evaluation = one
-seed batch); a budget of zero returns the input design without running
-a single simulation.
+candidate scored on the seed batch, which a search runs once per distinct
+design); a budget of zero returns the input design without running a
+single simulation.
 """
 
 from __future__ import annotations
@@ -483,6 +484,11 @@ def local_search(
     The search stops at the budget or at a local optimum (a full pass
     with no accepted move).  With ``jobs > 1`` every batch runs on one
     worker pool, held open for the whole search.
+
+    A candidate equal (``Configuration ==``) to a design this call has
+    already simulated, such as the undo of an accepted move, reuses that
+    batch: with seeds and length fixed, a new one would give the same
+    bits.  It still costs one unit of budget and logs the same record.
     """
     if not 0.0 <= sa_floor <= 100.0:
         raise ValueError(f"sa_floor must be within [0, 100], got {sa_floor}")
@@ -495,7 +501,17 @@ def local_search(
     current = config
     log: list[MoveRecord] = []
     with _pool(jobs, seeds) as pool:
-        initial_metrics = current_metrics = run_many(current, scenario, seeds, trial_length, jobs, pool=pool)
+        simulated: list[tuple[Configuration, list[TrialMetrics]]] = []
+
+        def batch(design: Configuration) -> list[TrialMetrics]:
+            for seen, trials in simulated:
+                if seen == design:
+                    return trials
+            trials = run_many(design, scenario, seeds, trial_length, jobs, pool=pool)
+            simulated.append((design, trials))
+            return trials
+
+        initial_metrics = current_metrics = batch(current)
         current_point = objective_point(current_metrics)
 
         searching = True
@@ -508,7 +524,7 @@ def local_search(
                     candidate = apply_move(current, move)
                 except ConfigurationError:
                     continue  # structurally invalid; costs no simulation
-                candidate_metrics = run_many(candidate, scenario, seeds, trial_length, jobs, pool=pool)
+                candidate_metrics = batch(candidate)
                 candidate_point = objective_point(candidate_metrics)
                 accepted, reason = _accepts(current_point, candidate_point, weights, sa_floor)
                 log.append(

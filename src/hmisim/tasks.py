@@ -197,14 +197,18 @@ def read_yaml(path: Path, kind: str, issues: list[Violation]) -> dict | None:
     text = read_input(path, kind, issues)
     if text is None:
         return None
+    loader = _UniqueKeyLoader(text)
+    loader.name = str(path)  # what PyYAML's error marks call the input
     try:
-        raw = yaml.load(text, Loader=_UniqueKeyLoader)
+        raw = loader.get_single_data()
     except _DuplicateKey as exc:
         issues.append(Violation("error", str(path), str(exc)))
         return None
     except yaml.YAMLError as exc:
         issues.append(Violation("error", str(path), f"YAML parse failure: {exc}"))
         return None
+    finally:
+        loader.dispose()
     if raw is None or isinstance(raw, dict):
         return raw or {}
     issues.append(Violation("error", str(path), f"{kind} must be a mapping, got {raw!r}"))

@@ -393,6 +393,17 @@ def test_wrong_shape_yaml_file_is_one_located_error(tmp_path, capsys, flag, body
     assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
 
 
+@pytest.mark.parametrize("flag", ["--elements", "--scenario"])
+def test_yaml_parse_failure_is_located_in_its_file(tmp_path, capsys, flag):
+    path = tmp_path / "input.yaml"
+    path.write_text("road: [\n")
+    inputs = [*DEMO, "--scenario", str(PKG_DATA / "demo_scenario.yaml"), flag, str(path)]
+    assert main(["validate", *inputs]) == 1
+    out = capsys.readouterr().out
+    assert f'in "{path}", line 2, column 1:\n    \n    ^' in out  # the mark keeps its snippet
+    assert "<unicode string>" not in out
+
+
 def unreadable(tmp_path, how):
     """A path that exists but is not a readable UTF-8 file."""
     path = tmp_path / "unreadable"

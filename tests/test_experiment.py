@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from hmisim.experiment import (
     run_many,
     run_metrics,
 )
-from hmisim.tasks import ConfigurationError
+from hmisim.tasks import Configuration, ConfigurationError
 from hmisim.workload import AttentionalChannel
 
 PKG_DATA = Path(str(resources.files("hmisim") / "data"))
@@ -513,6 +514,80 @@ def test_search_result_keeps_only_what_the_search_ran(scripted_config, scripted_
     assert result.initial_objective == objective_point(result.initial_metrics)
     assert result.objective == result.log[-1].before == objective_point(result.final_metrics)
     assert result.feasible is (result.objective.sa_average >= 90.0)
+
+
+# ---------------------------------------------------------------------------
+# the batch memo of one search
+
+MEMO_SEEDS = [1001, 1002, 1003, 1004]
+MEMO_LENGTH = 12_000.0
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The designs ``local_search`` hands to ``run_many``, one per seed batch it runs."""
+    designs = []
+
+    def counting(config, *args, **kwargs):
+        designs.append(config)
+        return run_many(config, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_many", counting)
+    return designs
+
+
+def test_search_simulates_each_distinct_design_once(batches, demo_config, demo_scenario):
+    result = local_search(demo_config, demo_scenario, MEMO_SEEDS, MEMO_LENGTH, sa_floor=75.0, budget=6)
+    assert result.evaluations == 6
+    # The undo of the accepted move (the initial design) and the repeated
+    # first candidate reuse their batches.
+    assert len(batches) == 5
+    assert all(design != earlier for i, design in enumerate(batches) for earlier in batches[:i])
+    design = demo_config
+    for record in result.log:
+        candidate = apply_move(design, record.move)
+        assert record.after == objective_point(run_many(candidate, demo_scenario, MEMO_SEEDS, MEMO_LENGTH))
+        if record.accepted:
+            design = candidate
+    assert design == result.config
+
+
+def test_a_budget_spent_on_a_reused_batch_still_counts(batches, demo_config, demo_scenario):
+    result = local_search(demo_config, demo_scenario, MEMO_SEEDS, MEMO_LENGTH, sa_floor=75.0, budget=4)
+    assert result.evaluations == 4 and len(batches) == 3
+    first, accepted, undo, repeat = result.log
+    assert accepted.accepted and undo.move == ReallocateLocation("check_speed", "instrument_cluster")
+    assert undo.after == result.initial_objective
+    assert repeat.move == first.move and repeat.after == first.after
+
+
+def _different(value):
+    """A value of the same kind that is not equal to ``value``."""
+    if isinstance(value, Enum):
+        return next(member for member in type(value) if member is not value)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if value is None or isinstance(value, str):
+        return f"{value}_other"
+    if isinstance(value, dict):
+        return dict(list(value.items())[1:])
+    if isinstance(value, list):
+        return value[1:] or [None]
+    field = dataclasses.fields(value)[0].name
+    return dataclasses.replace(value, **{field: _different(getattr(value, field))})
+
+
+def test_design_equality_reads_every_field_but_the_warnings(demo_config):
+    """A search reuses the batch of an equal design, so ``==`` must tell apart
+    any two designs a trial can: a field left out of it would be a false hit."""
+    element = next(iter(demo_config.elements.values()))
+    for instance in (demo_config.tasks[0], element, demo_config.scale, demo_config):
+        for f in dataclasses.fields(instance):
+            changed = dataclasses.replace(instance, **{f.name: _different(getattr(instance, f.name))})
+            ignored = isinstance(instance, Configuration) and f.name == "warnings"
+            assert (changed == instance) is ignored, f"{type(instance).__name__}.{f.name}"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import textwrap
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hmisim import trial as trial_mod
 from hmisim.metrics import MetricsCollector, eyes_off_contribution
 from hmisim.replay import check_safety_rules, check_tor_lead_times, replay_metrics
 from hmisim.scenario import load_scenario
-from hmisim.tasks import ConfigurationError, copy_configuration
+from hmisim.tasks import Configuration, ConfigurationError, copy_configuration, validate
 from hmisim.trial import run_trial
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,39 @@ def test_design_change_shares_road_and_trigger_draws(demo_config, demo_scenario)
 
     # and the change did change the execution record
     assert [r.to_json() for r in a.records] != [r.to_json() for r in b.records]
+
+
+def _reversing(names, prefix):
+    """New names for ``names`` whose sort order is the reverse of theirs."""
+    ordered = sorted(names)
+    return {name: f"{prefix}{len(ordered) - i:02d}" for i, name in enumerate(ordered)}
+
+
+def test_renaming_tasks_and_elements_leaves_the_indicators_bit_identical(demo_config, demo_scenario):
+    """Names are labels: no indicator may depend on them or on their sort order."""
+    task = _reversing([t.name for t in demo_config.tasks], "task")
+    element = _reversing(demo_config.elements, "element")
+    renamed = Configuration(
+        tasks=[
+            replace(t, name=task[t.name], location=element[t.location], triggers=t.triggers and task[t.triggers])
+            for t in demo_config.tasks
+        ],
+        elements={element[n]: replace(e, name=element[n]) for n, e in demo_config.elements.items()},
+        scale=demo_config.scale,
+    )
+    scenario = replace(
+        demo_scenario,
+        cognitive_functions=[replace(f, target_task=task[f.target_task]) for f in demo_scenario.cognitive_functions],
+        bindings={key: [task[n] for n in names] for key, names in demo_scenario.bindings.items()},
+        controls={task[n]: control for n, control in demo_scenario.controls.items()},
+    )
+    names = [t.name for t in demo_config.tasks]
+    assert sorted(names, key=task.get) == sorted(names, reverse=True)
+    assert [v for v in validate(renamed) if v.severity == "error"] == []
+    for seed in (1, 2, 3):
+        before = run_trial(demo_config, demo_scenario, seed, 20_000.0, trace=False).metrics
+        after = run_trial(renamed, scenario, seed, 20_000.0, trace=False).metrics
+        assert [v.hex() for v in after.indicator_row()] == [v.hex() for v in before.indicator_row()]
 
 
 def test_demo_trial_replay_matches_collector(demo_config, demo_scenario):
