@@ -36,7 +36,6 @@ from .experiment import (
 )
 from .metrics import (
     METRICS_CSV_HEADER,
-    aggregate,
     write_counts_csv,
     write_metrics_csv,
     write_paired_csv,
@@ -216,10 +215,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         jobs=plan.jobs, name_a=name_a, name_b=name_b,
     )
     out = _out_dir(args)
-    write_summary_csv(result.summaries(), out / "summary.csv")
-    write_scatter_csv(result.summaries(), out / "scatter.csv")
+    write_summary_csv(result.batches(), out / "summary.csv")
+    write_scatter_csv(result.batches(), out / "scatter.csv")
     write_paired_csv(result.seeds, result.paired_diffs, out / "paired.csv")
-    for name, summary in result.summaries().items():
+    for name, summary in ((result.name_a, result.summary_a), (result.name_b, result.summary_b)):
         medians = " ".join(f"{k}={summary.medians[k]!r}" for k in METRICS_CSV_HEADER[1:])
         print(f"{name}: trials={summary.trials} {medians}")
     return 0
@@ -237,9 +236,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     if result.initial_metrics is None:
         print("budget 0: no simulations run, design unchanged")
         return 0
-    summaries = {"initial": aggregate(result.initial_metrics), "optimized": aggregate(result.final_metrics)}
-    write_summary_csv(summaries, out / "summary.csv")
-    write_scatter_csv(summaries, out / "scatter.csv")
+    batches = {"initial": result.initial_metrics, "optimized": result.final_metrics}
+    write_summary_csv(batches, out / "summary.csv")
+    write_scatter_csv(batches, out / "scatter.csv")
     for record in result.log:
         if record.accepted:
             print(record.describe())

@@ -30,7 +30,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Iterable, Union
 
 from .metrics import AggregateSummary, TrialMetrics, aggregate
 from .scenario import Scenario, load_scenario
@@ -44,7 +44,9 @@ from .tasks import (
     as_mapping,
     as_number,
     copy_configuration,
+    given,
     load_configuration,
+    optional,
     read_yaml,
     validate,
 )
@@ -117,20 +119,35 @@ def run_many(
 
 @dataclass
 class Comparison:
-    """Paired A/B batch: per-config medians plus per-seed differences."""
+    """Paired A/B batch: both designs' trials, trial *i* of each on seed *i*."""
 
     name_a: str
     name_b: str
-    seeds: list[int]
     metrics_a: list[TrialMetrics]
     metrics_b: list[TrialMetrics]
-    summary_a: AggregateSummary
-    summary_b: AggregateSummary
-    #: per seed, B minus A: (eyes_off, cog_overload, perc_overload, sa_avg)
-    paired_diffs: list[tuple[float, float, float, float]]
 
-    def summaries(self) -> dict[str, AggregateSummary]:
-        return {self.name_a: self.summary_a, self.name_b: self.summary_b}
+    @property
+    def seeds(self) -> list[int]:
+        return [t.seed for t in self.metrics_a]
+
+    @property
+    def summary_a(self) -> AggregateSummary:
+        return aggregate(self.metrics_a)
+
+    @property
+    def summary_b(self) -> AggregateSummary:
+        return aggregate(self.metrics_b)
+
+    @property
+    def paired_diffs(self) -> list[tuple[float, float, float, float]]:
+        """Per seed, B minus A: (eyes_off, cog_overload, perc_overload, sa_avg)."""
+        return [
+            tuple(vb - va for va, vb in zip(a.indicator_row(), b.indicator_row()))
+            for a, b in zip(self.metrics_a, self.metrics_b)
+        ]
+
+    def batches(self) -> dict[str, list[TrialMetrics]]:
+        return {self.name_a: self.metrics_a, self.name_b: self.metrics_b}
 
 
 def compare(
@@ -147,20 +164,7 @@ def compare(
     with _pool(jobs, seeds) as pool:
         metrics_a = run_many(config_a, scenario, seeds, trial_length, jobs, pool=pool)
         metrics_b = run_many(config_b, scenario, seeds, trial_length, jobs, pool=pool)
-    diffs = [
-        tuple(vb - va for va, vb in zip(a.indicator_row(), b.indicator_row()))
-        for a, b in zip(metrics_a, metrics_b)
-    ]
-    return Comparison(
-        name_a=name_a,
-        name_b=name_b,
-        seeds=list(seeds),
-        metrics_a=metrics_a,
-        metrics_b=metrics_b,
-        summary_a=aggregate(metrics_a),
-        summary_b=aggregate(metrics_b),
-        paired_diffs=diffs,
-    )
+    return Comparison(name_a, name_b, metrics_a, metrics_b)
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +632,6 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     def resolve(value: str) -> Path:
         p = Path(value)
         return p if p.is_absolute() else base / p
-
-    def given(mapping: dict, key: str) -> bool:
-        """A key whose value is null or empty text counts as missing."""
-        return mapping.get(key) not in (None, "")
-
-    def optional(mapping: dict, key: str, default: Any) -> Any:
-        value = mapping.get(key)
-        return default if value is None else value
 
     configurations: list[NamedConfiguration] = []
     names_seen: set[str] = set()

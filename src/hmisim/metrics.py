@@ -203,7 +203,6 @@ class MetricsCollector:
 class AggregateSummary:
     trials: int
     medians: dict[str, float]
-    scatter: list[list]  # one row per trial: the int seed, then the four indicators
 
 
 def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
@@ -211,8 +210,7 @@ def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
         raise ValueError("aggregate needs at least one trial")
     columns = zip(*(t.indicator_row() for t in trials))
     medians = {name: median_low(column) for name, column in zip(METRICS_CSV_HEADER[1:], columns)}
-    scatter = [[t.seed, *t.indicator_row()] for t in trials]
-    return AggregateSummary(trials=len(trials), medians=medians, scatter=scatter)
+    return AggregateSummary(trials=len(trials), medians=medians)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +226,10 @@ def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """Parse a trace, one record per line, skipping blank lines.
 
-    A line with a missing or unknown key raises TypeError; a line that is
-    not one JSON value, with only JSON whitespace around it, raises
-    json.JSONDecodeError.  The first bad line raises.
+    A line with a missing or unknown key, or whose payload is not a JSON
+    object, raises TypeError; a line that is not one JSON value, with only
+    JSON whitespace around it, raises json.JSONDecodeError.  The first bad
+    line raises.
     """
     with open(path, encoding="utf-8") as handle:
         return [_trace_record(line) for line in handle if not line.isspace()]
@@ -245,11 +244,14 @@ def _trace_record(line: str) -> TraceRecord:
         # Each decode makes its own key strings: share one per name, or a demo trace holds ~10 MB more.
         row["payload"] = {intern(k): v for k, v in row["payload"].items()}
         return TraceRecord(*row.values())
-    return TraceRecord(**row)  # a missing or unknown key raises TypeError
+    record = TraceRecord(**row)  # a missing or unknown key raises TypeError
+    if type(record.payload) is not dict:
+        raise TypeError(f"trace payload must be a JSON object, got {record.payload!r}")
+    return record
 
 
 def write_metrics_csv(trials: Iterable[TrialMetrics], path: str | Path) -> None:
-    write_csv(path, METRICS_CSV_HEADER, ([t.seed, *map(repr, t.indicator_row())] for t in trials))
+    write_csv(path, METRICS_CSV_HEADER, ([t.seed, *t.indicator_row()] for t in trials))
 
 
 def write_counts_csv(counts: dict[str, TaskCounts], path: str | Path) -> None:
@@ -257,20 +259,15 @@ def write_counts_csv(counts: dict[str, TaskCounts], path: str | Path) -> None:
     write_csv(path, COUNTS_CSV_HEADER, rows)
 
 
-def write_summary_csv(summaries: dict[str, AggregateSummary], path: str | Path) -> None:
-    rows = (
-        [name, s.trials, *(repr(s.medians[k]) for k in METRICS_CSV_HEADER[1:])]
-        for name, s in summaries.items()
-    )
-    write_csv(path, SUMMARY_CSV_HEADER, rows)
+def write_summary_csv(batches: dict[str, list[TrialMetrics]], path: str | Path) -> None:
+    """One row per batch: its name, its trial count and its four medians."""
+    summaries = ((name, aggregate(trials)) for name, trials in batches.items())
+    write_csv(path, SUMMARY_CSV_HEADER, ([name, s.trials, *s.medians.values()] for name, s in summaries))
 
 
-def write_scatter_csv(summaries: dict[str, AggregateSummary], path: str | Path) -> None:
-    rows = (
-        [name, seed, *map(repr, indicators)]
-        for name, s in summaries.items()
-        for seed, *indicators in s.scatter
-    )
+def write_scatter_csv(batches: dict[str, list[TrialMetrics]], path: str | Path) -> None:
+    """One row per trial: its batch's name, its seed and its four indicators."""
+    rows = ([name, t.seed, *t.indicator_row()] for name, trials in batches.items() for t in trials)
     write_csv(path, SCATTER_CSV_HEADER, rows)
 
 
@@ -278,8 +275,8 @@ def write_timeline_csv(records: Iterable[TraceRecord], path: str | Path) -> None
     """Flatten a trace into a plot-ready per-record table."""
     rows = (
         [
-            repr(r.time), r.kind, r.payload.get("task") or r.payload.get("function") or "",
-            repr(r.cognitive_sum), repr(r.perceptual_sum), repr(r.awareness), r.level, r.road_max,
+            r.time, r.kind, r.payload.get("task") or r.payload.get("function") or "",
+            r.cognitive_sum, r.perceptual_sum, r.awareness, r.level, r.road_max,
         ]
         for r in records
     )
@@ -289,4 +286,4 @@ def write_timeline_csv(records: Iterable[TraceRecord], path: str | Path) -> None
 def write_paired_csv(
     seeds: list[int], diffs: list[tuple[float, float, float, float]], path: str | Path
 ) -> None:
-    write_csv(path, PAIRED_CSV_HEADER, ([seed, *map(repr, row)] for seed, row in zip(seeds, diffs)))
+    write_csv(path, PAIRED_CSV_HEADER, ([seed, *row] for seed, row in zip(seeds, diffs)))

@@ -18,7 +18,7 @@ from typing import Any
 
 from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_sigma
 from .tasks import Configuration, ConfigurationError, Initiator, Violation
-from .tasks import as_list, as_mapping, as_number, read_yaml
+from .tasks import as_list, as_mapping, as_number, given, optional, read_yaml
 from .vehicle import (
     BINDING_EVENTS,
     GROUND_TRUTH_PARAMETERS,
@@ -99,7 +99,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if raw is None:
         raise ScenarioError(issues)
 
-    name = str(raw.get("name", path.stem))
+    name = str(raw["name"]) if given(raw, "name") else path.stem
     road = _parse_road(raw.get("road"), where, issues)
     speed = _parse_speed(raw.get("speed"), where, issues)
     functions = _parse_functions(raw.get("cognitive_functions"), where, issues)
@@ -166,9 +166,9 @@ def _parse_road(
             continue
         for_level = f"for level {level}"
         mean = as_number(entry.get("mean"), f"dwell mean {for_level}", where, issues, at_least=MIN_INTERVAL)
-        minimum = as_number(entry.get("min", 0.0), f"dwell min {for_level}", where, issues, at_least=0)
+        minimum = as_number(optional(entry, "min", 0.0), f"dwell min {for_level}", where, issues, at_least=0)
         maximum = math.inf  # no upper clamp unless one is given
-        if "max" in entry:
+        if entry.get("max") is not None:
             maximum = as_number(entry["max"], f"dwell max {for_level}", where, issues, at_least=MIN_INTERVAL)
         if mean is None or minimum is None or maximum is None:
             continue
@@ -297,7 +297,7 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
         mean = as_number(entry.get("mean"), "mean", spot, issues, at_least=MIN_INTERVAL)
         if mean is None:
             continue
-        sigma = as_number(entry.get("sigma", default_sigma(mean)), "sigma", spot, issues, at_least=0)
+        sigma = as_number(optional(entry, "sigma", default_sigma(mean)), "sigma", spot, issues, at_least=0)
         if sigma is None:
             continue
         enabled = ALL_LEVELS
@@ -401,11 +401,11 @@ def _parse_vehicle(raw: Any, where: str, issues: list[Violation]) -> VehicleSett
     where = f"{where} vehicle"
     settings = VehicleSettings()
     raw = as_mapping(raw, "vehicle", where, issues)
-    level = _parse_level(raw.get("initial_level", 0), where, issues)
+    level = _parse_level(optional(raw, "initial_level", 0), where, issues)
     if level is not None:
         settings.initial_level = level
     lead, final = (
-        as_number(raw.get(key, getattr(settings, key)), key, where, issues, at_least=0)
+        as_number(optional(raw, key, getattr(settings, key)), key, where, issues, at_least=0)
         for key in ("tor_lead_seconds", "tor_final_seconds")
     )
     if lead is None or final is None:

@@ -37,23 +37,25 @@ from .workload import (
     perceptual_category,
 )
 
-TASK_COLUMNS = [
-    "Name",
-    "Description",
-    "Location",
-    "CognitiveDescriptor",
-    "PerceptualDescriptor",
-    "PerceptionType",
-    "PerceptualWorkload",
-    "CognitiveWorkload",
-    "Duration",
-    "GazeTime",
-    "CognitiveFunctionTrigger",
-    "AwarenessParameter",
-    "Triggers",
-    "Priority",
-    "Initiator",
-]
+#: The task catalog's columns, in file order, and the ``Task`` field each one holds.
+TASK_FIELDS = {
+    "Name": "name",
+    "Description": "description",
+    "Location": "location",
+    "CognitiveDescriptor": "cognitive_descriptor",
+    "PerceptualDescriptor": "perceptual_descriptor",
+    "PerceptionType": "perception_type",
+    "PerceptualWorkload": "perceptual_workload",
+    "CognitiveWorkload": "cognitive_workload",
+    "Duration": "duration",
+    "GazeTime": "gaze_time",
+    "CognitiveFunctionTrigger": "cognitive_function_trigger",
+    "AwarenessParameter": "awareness_parameter",
+    "Triggers": "triggers",
+    "Priority": "priority",
+    "Initiator": "initiator",
+}
+TASK_COLUMNS = list(TASK_FIELDS)
 
 #: Recognized but derived: checked against Duration + 2*GazeTime, never stored.
 DERIVED_COLUMNS = {"TotalTime"}
@@ -215,6 +217,17 @@ def read_yaml(path: Path, kind: str, issues: list[Violation]) -> dict | None:
     return None
 
 
+def given(mapping: dict, key: str) -> bool:
+    """Whether a YAML mapping gives ``key``: a value that is null or empty text counts as missing."""
+    return mapping.get(key) not in (None, "")
+
+
+def optional(mapping: dict, key: str, default: Any) -> Any:
+    """An optional YAML key's value, or ``default`` when it is left out or null."""
+    value = mapping.get(key)
+    return default if value is None else value
+
+
 def as_mapping(value: Any, what: str, where: str, issues: list[Violation]) -> dict:
     """A YAML section as a mapping: ``{}`` if absent, or after one located error if not a mapping."""
     return _shaped(value, dict, "a mapping", what, where, issues)
@@ -305,14 +318,6 @@ def _normalize_channel(raw: str) -> AttentionalChannel | None:
         return None
 
 
-def _fmt(value: float | int | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # element and scale files
 
@@ -338,11 +343,11 @@ def _load_elements(path: Path, issues: list[Violation]) -> dict[str, InterfaceEl
             named = False
             continue
         name = str(entry["name"]).strip()
-        on_road = entry.get("on_road", False)
+        on_road = optional(entry, "on_road", False)
         reported = len(issues)
         if not isinstance(on_road, bool):
             issues.append(Violation("error", spot, f"on_road must be a boolean, got {on_road!r}"))
-        gaze = as_number(entry.get("gaze_time", 0.0), "gaze_time", spot, issues, at_least=0)
+        gaze = as_number(optional(entry, "gaze_time", 0.0), "gaze_time", spot, issues, at_least=0)
         if name in elements:
             issues.append(Violation("error", spot, f"duplicate element name {name!r}"))
             continue
@@ -637,26 +642,7 @@ def _trigger_cycles(config: Configuration) -> list[Violation]:
 
 def write_tasks_csv(config: Configuration, path: str | Path) -> None:
     """Write the task list back out with workloads filled in."""
-    rows = (
-        [
-            t.name,
-            t.description,
-            t.location,
-            _fmt(t.cognitive_descriptor),
-            _fmt(t.perceptual_descriptor),
-            t.perception_type.value,
-            _fmt(t.perceptual_workload),
-            _fmt(t.cognitive_workload),
-            _fmt(t.duration),
-            _fmt(t.gaze_time),
-            _fmt(t.cognitive_function_trigger),
-            _fmt(t.awareness_parameter),
-            _fmt(t.triggers),
-            t.priority,
-            t.initiator.value,
-        ]
-        for t in config.tasks
-    )
+    rows = ([getattr(t, name) for name in TASK_FIELDS.values()] for t in config.tasks)
     write_csv(path, TASK_COLUMNS, rows)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,21 @@ def test_replay_shares_no_accrual_code_with_the_simulator():
             imported.update((alias.name, set()) for alias in node.names)
     own = {module: names for module, names in imported.items() if module.startswith((".", "hmisim"))}
     assert own == {".metrics": {"TraceRecord"}, ".attention": {"CAPACITY", "CAP_TOLERANCE", "AbortReason"}}
+
+
+def test_the_package_imports_only_itself_the_standard_library_numpy_and_yaml():
+    allowed = sys.stdlib_module_names | {"numpy", "yaml"}
+    outside: list[str] = []
+    for module in sorted(Path(hmisim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{module.name}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 @pytest.fixture

@@ -76,8 +76,10 @@ def test_compare_identical_configs_has_zero_diffs(demo_config, demo_scenario):
     )
     assert comparison.paired_diffs == [(0.0, 0.0, 0.0, 0.0)] * 3
     assert comparison.summary_a.medians == comparison.summary_b.medians
-    assert set(comparison.summaries()) == {"base", "same"}
+    assert comparison.batches() == {"base": comparison.metrics_a, "same": comparison.metrics_b}
     assert comparison.seeds == [1, 2, 3]
+    # Everything else derives from the trials that ran.
+    assert [f.name for f in dataclasses.fields(Comparison)] == ["name_a", "name_b", "metrics_a", "metrics_b"]
 
 
 def test_compare_pairs_seeds_one_to_one(demo_config, optimized_config, demo_scenario):
@@ -288,6 +290,30 @@ def test_replace_descriptor_bad_slot_rejected(demo_config):
 def test_unknown_task_in_move_rejected(demo_config):
     with pytest.raises(ConfigurationError):
         apply_move(demo_config, RemoveTask("ghost"))
+
+
+@pytest.mark.parametrize(
+    ("move", "named"),
+    [
+        (RemoveTask("ghost"), "ghost"),
+        (ReallocateLocation("ghost", "head_up_display"), "ghost"),
+        (SerializeSignals("tor10_haptic", "ghost"), "ghost"),
+        (ReplaceDescriptor("ghost", "cognitive", "Simple association"), "ghost"),
+        (ReallocateLocation("check_speed", "holographic_dome"), "holographic_dome"),
+        (ReplaceDescriptor("check_speed", "emotional", "Sigh"), "emotional"),
+        ("shuffle", "shuffle"),
+    ],
+    ids=["remove", "reallocate", "serialize", "replace", "destination", "slot", "move-type"],
+)
+def test_rejected_move_is_one_error_naming_it(demo_config, move, named):
+    before = demo_config.tasks[:]
+    with pytest.raises(ConfigurationError) as err:
+        apply_move(demo_config, move)
+    [violation] = err.value.violations
+    assert violation.severity == "error"
+    assert violation.where.startswith("move")
+    assert named in str(violation)
+    assert demo_config.tasks == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -193,12 +194,8 @@ def test_aggregate_medians_and_scatter():
         "perc_overload_pct": 4.0,
         "sa_avg_pct": 80.0,
     }
-    assert summary.scatter == [
-        [1, 10.0, 1.0, 2.0, 90.0],
-        [2, 20.0, 3.0, 4.0, 80.0],
-        [3, 30.0, 5.0, 6.0, 70.0],
-    ]
-    assert all(type(row[0]) is int for row in summary.scatter)
+    # The scatter is the trials themselves: the summary keeps no copy of them.
+    assert [f.name for f in fields(AggregateSummary)] == ["trials", "medians"]
 
 
 def test_aggregate_empty_raises():
@@ -375,24 +372,15 @@ def test_counts_csv_sorted_by_task(tmp_path):
 
 
 def test_summary_and_scatter_csv(tmp_path):
-    summary = AggregateSummary(
-        trials=2,
-        medians={
-            "eyes_off_pct": 10.0,
-            "cog_overload_pct": 1.0,
-            "perc_overload_pct": 2.0,
-            "sa_avg_pct": 90.0,
-        },
-        scatter=[[1, 10.0, 1.0, 2.0, 90.0], [2, 11.0, 1.5, 2.5, 89.0]],
-    )
+    batches = {"base": [make_trial(1, 10.0, 1.0, 2.0, 90.0), make_trial(2, 11.0, 1.5, 2.5, 89.0)]}
     summary_path = tmp_path / "summary.csv"
-    write_summary_csv({"base": summary}, summary_path)
+    write_summary_csv(batches, summary_path)
     lines = summary_path.read_text().splitlines()
     assert lines[0] == ",".join(SUMMARY_CSV_HEADER)
-    assert lines[1] == "base,2,10.0,1.0,2.0,90.0"
+    assert lines[1] == "base,2,10.0,1.0,2.0,89.0"  # the lower middle of two
 
     scatter_path = tmp_path / "scatter.csv"
-    write_scatter_csv({"base": summary}, scatter_path)
+    write_scatter_csv(batches, scatter_path)
     lines = scatter_path.read_text().splitlines()
     assert lines[0] == ",".join(SCATTER_CSV_HEADER)
     assert lines[1] == "base,1,10.0,1.0,2.0,90.0"
@@ -421,3 +409,15 @@ def test_paired_csv(tmp_path):
     assert lines[0] == ",".join(PAIRED_CSV_HEADER)
     assert lines[1] == "1,-0.5,0.0,-0.25,0.125"
     assert lines[2] == "2,0.5,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize("payload", [5, None, "task", [1]])
+@pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "reordered"])
+def test_read_trace_rejects_a_payload_that_is_not_an_object(tmp_path, payload, in_order):
+    raw = {**json.loads(make_record().to_json()), "payload": payload}
+    if not in_order:
+        raw = dict(reversed(raw.items()))
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(raw) + "\n")
+    with pytest.raises(TypeError, match="payload"):
+        read_trace(path)

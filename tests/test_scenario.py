@@ -105,6 +105,12 @@ def test_load_minimal_scenario_defaults(tmp_path):
     assert scenario.vehicle.tor_final_seconds == 10.0
 
 
+@pytest.mark.parametrize("name", ["null", "''"])
+def test_null_or_empty_name_falls_back_to_the_file_stem(tmp_path, name):
+    scenario = load_scenario(write_scenario(tmp_path, f"name: {name}\n" + MINIMAL))
+    assert scenario.name == "scenario"
+
+
 def test_load_full_scenario(tmp_path):
     scenario = load_scenario(
         write_scenario(
@@ -697,3 +703,40 @@ def test_generated_element_file_or_plan_is_loaded_or_rejected(generated, target,
             "--jobs", "1", "--out", str(generated / "out"),
         ]
     assert quiet_main(argv) in (0, 1)
+
+
+#: (file, key path) of each optional scenario or element key whose null counts as left out.
+NULL_KEY_PATHS = [("scenario", path) for path in [
+    ("road", "process", "dwell", 4, "min"),
+    ("road", "process", "dwell", 4, "max"),
+    ("cognitive_functions", 0, "sigma"),
+    ("vehicle", "initial_level"),
+    ("vehicle", "tor_lead_seconds"),
+    ("vehicle", "tor_final_seconds"),
+]] + [("elements", path) for path in [
+    ("elements", 0, "on_road"),
+    ("elements", 0, "gaze_time"),
+]]
+
+
+def left_out(document, path):
+    """A deep copy of ``document`` without the key at ``path``."""
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return document
+
+
+@pytest.mark.parametrize("target", NULL_KEY_PATHS, ids=lambda t: ".".join(map(str, t[1])))
+def test_null_optional_key_counts_as_left_out(tmp_path, target):
+    kind, path = target
+    if kind == "scenario":
+        document, load = DEMO_SCENARIO, load_scenario
+    else:
+        document, load = DEMO_ELEMENTS, lambda file: load_configuration(PKG_DATA / "demo_tasks.csv", file)
+    null, missing = tmp_path / f"null_{kind}.yaml", tmp_path / f"{kind}.yaml"
+    null.write_text(yaml.safe_dump(replaced(document, path, None)))
+    missing.write_text(yaml.safe_dump(left_out(document, path)))
+    assert load(null) == load(missing)
