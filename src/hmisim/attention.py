@@ -19,7 +19,7 @@ lower-priority one that fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .tasks import Initiator, Task

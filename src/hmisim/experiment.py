@@ -40,12 +40,12 @@ from .tasks import (
     Task,
     Violation,
     as_integer,
-    as_list,
     as_mapping,
     as_number,
     copy_configuration,
-    given,
     load_configuration,
+    name_of,
+    named_entries,
     optional,
     read_yaml,
     validate,
@@ -294,7 +294,7 @@ def apply_move(config: Configuration, move: DesignMove) -> Configuration:
     tasks = {t.name: t for t in result.tasks}
 
     if isinstance(move, ReallocateLocation):
-        task = _require_task(tasks, move.task)
+        task = _require_task(tasks, move.task, move)
         if move.new_location not in result.elements:
             raise ConfigurationError(
                 [Violation("error", f"move {move.describe()}", "unknown destination element")]
@@ -303,14 +303,14 @@ def apply_move(config: Configuration, move: DesignMove) -> Configuration:
         if task.perception_type is AttentionalChannel.VISUAL:
             task.gaze_time = result.elements[move.new_location].gaze_time
     elif isinstance(move, RemoveTask):
-        _require_task(tasks, move.task)
+        _require_task(tasks, move.task, move)
         result.tasks = [t for t in result.tasks if t.name != move.task]
     elif isinstance(move, SerializeSignals):
-        first = _require_task(tasks, move.first)
-        _require_task(tasks, move.second)
+        first = _require_task(tasks, move.first, move)
+        _require_task(tasks, move.second, move)
         first.triggers = move.second
     elif isinstance(move, ReplaceDescriptor):
-        task = _require_task(tasks, move.task)
+        task = _require_task(tasks, move.task, move)
         if move.slot == "cognitive":
             task.cognitive_workload = result.scale.lookup(ScaleCategory.COGNITIVE, move.descriptor)
             task.cognitive_descriptor = move.descriptor
@@ -320,7 +320,7 @@ def apply_move(config: Configuration, move: DesignMove) -> Configuration:
             task.perceptual_descriptor = move.descriptor
         else:
             raise ConfigurationError(
-                [Violation("error", f"move on {move.task}", f"unknown descriptor slot {move.slot!r}")]
+                [Violation("error", f"move {move.describe()}", f"unknown descriptor slot {move.slot!r}")]
             )
     else:
         raise ConfigurationError([Violation("error", "move", f"unknown move type {move!r}")])
@@ -331,10 +331,10 @@ def apply_move(config: Configuration, move: DesignMove) -> Configuration:
     return result
 
 
-def _require_task(tasks: dict[str, Task], name: str) -> Task:
+def _require_task(tasks: dict[str, Task], name: str, move: DesignMove) -> Task:
     task = tasks.get(name)
     if task is None:
-        raise ConfigurationError([Violation("error", "move", f"unknown task {name!r}")])
+        raise ConfigurationError([Violation("error", f"move {move.describe()}", f"unknown task {name!r}")])
     return task
 
 
@@ -634,34 +634,29 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         return p if p.is_absolute() else base / p
 
     configurations: list[NamedConfiguration] = []
-    names_seen: set[str] = set()
-    for i, entry in enumerate(as_list(raw.get("configurations"), "configurations", where, issues)):
-        spot = f"{where} configurations[{i}]"
-        if not isinstance(entry, dict) or not all(given(entry, key) for key in ("name", "tasks", "elements")):
-            issues.append(Violation("error", spot, "needs name, tasks and elements"))
-            continue
-        name = str(entry["name"])
-        if name in names_seen:
-            issues.append(Violation("error", spot, f"duplicate configuration name {name!r}"))
-            continue
-        names_seen.add(name)
-        scale = entry.get("scale")
+    entries = named_entries(
+        raw.get("configurations"), "configurations", ("name", "tasks", "elements"), where, issues,
+        "needs name, tasks and elements", "configuration name",
+    )
+    for _, names, entry in entries:
+        scale = name_of(entry.get("scale"))
         configurations.append(
             NamedConfiguration(
-                name=name,
-                tasks=resolve(str(entry["tasks"])),
-                elements=resolve(str(entry["elements"])),
-                scale=resolve(str(scale)) if scale else None,
+                name=names["name"],
+                tasks=resolve(names["tasks"]),
+                elements=resolve(names["elements"]),
+                scale=resolve(scale) if scale else None,
             )
         )
     if not configurations and not issues:
         issues.append(Violation("error", where, "plan needs at least one configuration"))
 
-    if not given(raw, "scenario"):
+    scenario = name_of(raw.get("scenario"))
+    if scenario is None:
         issues.append(Violation("error", where, "plan needs a scenario path"))
         scenario_path = Path(".")
     else:
-        scenario_path = resolve(str(raw["scenario"]))
+        scenario_path = resolve(scenario)
 
     raw_seeds = raw.get("master_seeds")
     seeds: list[int] = []
@@ -713,7 +708,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if issues:
         raise PlanError(issues)
     return ExperimentPlan(
-        name=str(raw["name"]) if given(raw, "name") else path.stem,
+        name=name_of(raw.get("name")) or path.stem,
         scenario_path=scenario_path,
         configurations=configurations,
         master_seeds=seeds,

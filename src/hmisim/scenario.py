@@ -18,7 +18,7 @@ from typing import Any
 
 from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_sigma
 from .tasks import Configuration, ConfigurationError, Initiator, Violation
-from .tasks import as_list, as_mapping, as_number, given, optional, read_yaml
+from .tasks import as_list, as_mapping, as_number, name_of, named_entries, optional, read_yaml
 from .vehicle import (
     BINDING_EVENTS,
     GROUND_TRUTH_PARAMETERS,
@@ -99,7 +99,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if raw is None:
         raise ScenarioError(issues)
 
-    name = str(raw["name"]) if given(raw, "name") else path.stem
+    name = name_of(raw.get("name")) or path.stem
     road = _parse_road(raw.get("road"), where, issues)
     speed = _parse_speed(raw.get("speed"), where, issues)
     functions = _parse_functions(raw.get("cognitive_functions"), where, issues)
@@ -283,17 +283,9 @@ def _parse_speed(raw: Any, where: str, issues: list[Violation]) -> SpeedScript:
 
 def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[CognitiveFunction]:
     functions: list[CognitiveFunction] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(as_list(raw, "cognitive_functions", where, issues)):
-        spot = f"{where} cognitive_functions[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry or "task" not in entry:
-            issues.append(Violation("error", spot, "needs at least 'name' and 'task'"))
-            continue
-        name = str(entry["name"])
-        if name in seen:
-            issues.append(Violation("error", spot, f"duplicate cognitive function {name!r}"))
-            continue
-        seen.add(name)
+    missing = "needs at least 'name' and 'task'"
+    entries = named_entries(raw, "cognitive_functions", ("name", "task"), where, issues, missing, "cognitive function")
+    for spot, names, entry in entries:
         mean = as_number(entry.get("mean"), "mean", spot, issues, at_least=MIN_INTERVAL)
         if mean is None:
             continue
@@ -306,10 +298,10 @@ def _parse_functions(raw: Any, where: str, issues: list[Violation]) -> list[Cogn
             enabled = frozenset(lv for lv in levels if lv is not None)
         functions.append(
             CognitiveFunction(
-                name=name,
+                name=names["name"],
                 mean_interval=mean,
                 sigma=sigma,
-                target_task=str(entry["task"]),
+                target_task=names["task"],
                 enabled_levels=enabled,
             )
         )
@@ -324,10 +316,11 @@ def _parse_bindings(raw: Any, where: str, issues: list[Violation]) -> EventBindi
     def names(value: Any, spot: str) -> list[str]:
         if value is None:
             return []
-        if not isinstance(value, list):
+        found = [name_of(v) for v in value] if isinstance(value, list) else None
+        if found is None or None in found:
             issues.append(Violation("error", spot, "expected a list of task names"))
             return []
-        return [str(v) for v in value]
+        return found
 
     for event in BINDING_EVENTS:
         if event in ("tor60", "tor10"):
@@ -351,34 +344,31 @@ def _parse_controls(raw: Any, where: str, issues: list[Violation]) -> dict[str, 
     where = f"{where} controls"
     controls: dict[str, ControlBinding] = {}
     for task_name, entry in as_mapping(raw, "controls", where, issues).items():
+        name = name_of(task_name)
+        if name is None:
+            issues.append(Violation("error", where, f"a control needs a task name, got {task_name!r}"))
+            continue
         if not isinstance(entry, dict) or entry.get("action") not in ("switch_up", "switch_down"):
-            issues.append(
-                Violation("error", where, f"{task_name!r} needs action switch_up or switch_down")
-            )
+            issues.append(Violation("error", where, f"{task_name!r} needs action switch_up or switch_down"))
             continue
         target = entry.get("target")
         parsed_target: int | None = None
         if target is not None:
-            parsed_target = _parse_level(target, f"{where} {task_name}", issues)
+            parsed_target = _parse_level(target, f"{where} {name}", issues)
             if parsed_target is None:
                 continue
-        controls[str(task_name)] = ControlBinding(action=entry["action"], target=parsed_target)
+        controls[name] = ControlBinding(action=entry["action"], target=parsed_target)
     return controls
 
 
 def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str, AwarenessParameter]:
     where = f"{where} awareness"
     parameters: dict[str, AwarenessParameter] = {}
-    for name, entry in as_mapping(raw, "awareness", where, issues).items():
-        name = str(name)
+    for key, entry in as_mapping(raw, "awareness", where, issues).items():
+        name = name_of(key)
         if name not in GROUND_TRUTH_PARAMETERS:
-            issues.append(
-                Violation(
-                    "error",
-                    where,
-                    f"{name!r} has no ground-truth counterpart (known: {', '.join(GROUND_TRUTH_PARAMETERS)})",
-                )
-            )
+            known = ", ".join(GROUND_TRUTH_PARAMETERS)
+            issues.append(Violation("error", where, f"{key!r} has no ground-truth counterpart (known: {known})"))
             continue
         entry = as_mapping(entry, repr(name), where, issues)
         resolution = entry.get("resolution")
@@ -389,11 +379,7 @@ def _parse_awareness(raw: Any, where: str, issues: list[Violation]) -> dict[str,
         initial = entry.get("initial")  # any ground-truth value; an int or float must be a finite number
         if type(initial) in (int, float) and as_number(initial, f"{name!r} initial", where, issues) is None:
             continue
-        parameters[name] = AwarenessParameter(
-            name=name,
-            resolution=resolution,
-            initial=initial,
-        )
+        parameters[name] = AwarenessParameter(name=name, resolution=resolution, initial=initial)
     return parameters
 
 

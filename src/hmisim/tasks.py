@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import yaml
 
@@ -172,10 +172,11 @@ class _DuplicateKey(yaml.YAMLError):
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """A ``SafeLoader`` whose mappings refuse a key equal, as a parsed value, to an earlier one.
+    """A ``SafeLoader`` whose mappings refuse a key equal to an earlier one.
 
-    Keys are compared after parsing, so ``4`` and ``4.0`` are one key; a merge key
-    (``<<``) is not a key of its mapping, so the keys it brings in may be overridden.
+    Keys are compared as parsed values, and text as the name it gives (see ``name_of``), so ``4``
+    and ``4.0`` are one key and so are ``t`` and ``' t '``; a merge key (``<<``) is not a key of
+    its mapping, so the keys it brings in may be overridden.
     """
 
     def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
@@ -184,13 +185,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
             if key_node.tag == "tag:yaml.org,2002:merge":
                 continue
             key, line = self.construct_object(key_node, deep=True), key_node.start_mark.line + 1
+            same = key.strip() if isinstance(key, str) else key
             try:
-                first = first_lines.get(key)
+                first = first_lines.get(same)
             except TypeError:  # an unhashable key: the base constructor reports it
                 continue
             if first is not None:
                 raise _DuplicateKey(f"duplicate key {key!r} at line {line} (first at line {first})")
-            first_lines[key] = line
+            first_lines[same] = line
         return super().construct_mapping(node, deep)
 
 
@@ -217,11 +219,6 @@ def read_yaml(path: Path, kind: str, issues: list[Violation]) -> dict | None:
     return None
 
 
-def given(mapping: dict, key: str) -> bool:
-    """Whether a YAML mapping gives ``key``: a value that is null or empty text counts as missing."""
-    return mapping.get(key) not in (None, "")
-
-
 def optional(mapping: dict, key: str, default: Any) -> Any:
     """An optional YAML key's value, or ``default`` when it is left out or null."""
     value = mapping.get(key)
@@ -236,6 +233,32 @@ def as_mapping(value: Any, what: str, where: str, issues: list[Violation]) -> di
 def as_list(value: Any, what: str, where: str, issues: list[Violation]) -> list:
     """A YAML section as a list: ``[]`` if absent, or after one located error if not a list."""
     return _shaped(value, list, "a list", what, where, issues)
+
+
+def name_of(value: Any) -> str | None:
+    """A name or path as every input file gives it: the text without surrounding blanks, or None if null or blank."""
+    return None if value is None else str(value).strip() or None
+
+
+def named_entries(
+    value: Any, section: str, needs: tuple[str, ...], where: str, issues: list[Violation], missing: str, noun: str
+) -> Iterator[tuple[str, dict[str, str], dict]]:
+    """Each mapping of a list section that names every key in ``needs``: its location, those names, the mapping.
+
+    An entry that is not a mapping or lacks one of those names is the located error ``missing``;
+    one whose first name repeats an earlier entry's is ``duplicate {noun} {name!r}``.
+    """
+    seen: set[str] = set()
+    for i, entry in enumerate(as_list(value, section, where, issues)):
+        spot = f"{where} {section}[{i}]"
+        names = {key: name_of(entry.get(key)) for key in needs} if isinstance(entry, dict) else {}
+        if not names or None in names.values():
+            issues.append(Violation("error", spot, missing))
+        elif names[needs[0]] in seen:
+            issues.append(Violation("error", spot, f"duplicate {noun} {names[needs[0]]!r}"))
+        else:
+            seen.add(names[needs[0]])
+            yield spot, names, entry
 
 
 def _shaped(value: Any, shape: type, noun: str, what: str, where: str, issues: list[Violation]) -> Any:
@@ -335,27 +358,18 @@ def _load_elements(path: Path, issues: list[Violation]) -> dict[str, InterfaceEl
     if len(issues) > reported:
         return None
     elements: dict[str, InterfaceElement] = {}
-    named = True
-    for i, entry in enumerate(entries):
-        spot = f"{where} elements[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            issues.append(Violation("error", spot, "each element needs at least a 'name'"))
-            named = False
-            continue
-        name = str(entry["name"]).strip()
+    unnamed = "each element needs at least a 'name'"
+    for spot, names, entry in named_entries(entries, "elements", ("name",), where, issues, unnamed, "element name"):
         on_road = optional(entry, "on_road", False)
-        reported = len(issues)
+        checked = len(issues)
         if not isinstance(on_road, bool):
             issues.append(Violation("error", spot, f"on_road must be a boolean, got {on_road!r}"))
         gaze = as_number(optional(entry, "gaze_time", 0.0), "gaze_time", spot, issues, at_least=0)
-        if name in elements:
-            issues.append(Violation("error", spot, f"duplicate element name {name!r}"))
-            continue
-        if len(issues) > reported:
+        if len(issues) > checked:
             # The load fails already; keeping the name known spares the tasks on it follow-on errors.
             on_road, gaze = False, 0.0
-        elements[name] = InterfaceElement(name=name, on_road=on_road, gaze_time=gaze)
-    return elements if named else None
+        elements[names["name"]] = InterfaceElement(name=names["name"], on_road=on_road, gaze_time=gaze)
+    return None if any(v.message == unnamed for v in issues[reported:]) else elements
 
 
 def _load_scale(path: Path, issues: list[Violation]) -> WorkloadScale:
@@ -377,10 +391,14 @@ def _load_scale(path: Path, issues: list[Violation]) -> WorkloadScale:
             issues.append(Violation("error", where, f"category {cat_name!r} must map descriptors to values"))
             continue
         for descriptor, value in table.items():
+            name = name_of(descriptor)
+            if name is None:
+                issues.append(Violation("error", where, f"scale descriptor must be a name, got {descriptor!r}"))
+                continue
             what = f"({cat_name}, {descriptor!r}) value"
             value = as_number(value, what, where, issues, above=0, at_most=WORKLOAD_MAX)
             if value is not None:
-                overrides[(category, str(descriptor).strip())] = value
+                overrides[(category, name)] = value
     return WorkloadScale().with_overrides(overrides)
 
 

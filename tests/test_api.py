@@ -65,6 +65,23 @@ def test_the_package_imports_only_itself_the_standard_library_numpy_and_yaml():
     assert outside == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    unused: list[str] = []
+    for module in sorted(Path(hmisim.__file__).parent.glob("*.py")):
+        if module.name == "__init__.py":  # it imports to export
+            continue
+        tree = ast.parse(module.read_text())
+        imported: list[str] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module.name}: {name}" for name in imported if name not in used]
+    assert unused == []
+
+
 @pytest.fixture
 def tracer(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -14,6 +14,7 @@ from hmisim.experiment import ReallocateLocation, apply_move
 from hmisim.metrics import read_trace
 from hmisim.replay import check_safety_rules, replay_metrics
 from hmisim.tasks import write_tasks_csv
+from hmisim.trial import run_trial
 
 DATA = Path(__file__).parent / "data"
 PKG_DATA = Path(str(resources.files("hmisim") / "data"))
@@ -473,6 +474,20 @@ def test_run_missing_scenario_file(tmp_path, capsys):
     ])
     assert code == 1
     assert "scenario file not found" in capsys.readouterr().err
+
+
+def test_run_failing_after_its_trial_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(hmisim.cli, "run_trial", lambda *args: trials.append(args) or run_trial(*args))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", *SCRIPTED, *SCRIPTED_SCENARIO, "--length", "100", "--out", str(taken)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert len(trials) == 1  # the output directory is made after the trial
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: FileExistsError: ")
 
 
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):

@@ -35,7 +35,7 @@ from hmisim.experiment import (
     run_many,
     run_metrics,
 )
-from hmisim.tasks import Configuration, ConfigurationError
+from hmisim.tasks import Configuration, ConfigurationError, copy_configuration
 from hmisim.workload import AttentionalChannel
 
 PKG_DATA = Path(str(resources.files("hmisim") / "data"))
@@ -316,6 +316,25 @@ def test_rejected_move_is_one_error_naming_it(demo_config, move, named):
     assert demo_config.tasks == before
 
 
+@pytest.mark.parametrize(
+    "move",
+    [
+        RemoveTask("ghost"),
+        ReallocateLocation("ghost", "head_up_display"),
+        SerializeSignals("ghost", "tor10_haptic"),
+        SerializeSignals("tor10_haptic", "ghost"),
+        ReplaceDescriptor("ghost", "cognitive", "Simple association"),
+        ReplaceDescriptor("check_speed", "emotional", "Sigh"),
+    ],
+    ids=["remove", "reallocate", "serialize-first", "serialize-second", "replace", "slot"],
+)
+def test_a_rejected_move_is_located_at_its_description(demo_config, move):
+    with pytest.raises(ConfigurationError) as err:
+        apply_move(demo_config, move)
+    [violation] = err.value.violations
+    assert violation.where == f"move {move.describe()}"
+
+
 # ---------------------------------------------------------------------------
 # neighborhood
 
@@ -335,6 +354,15 @@ def test_reallocations_target_only_visual_surfaces(demo_config, demo_scenario):
         destination = demo_config.elements[move.new_location]
         assert destination.on_road or destination.gaze_time > 0
         assert move.new_location != tasks[move.task].location
+
+
+def test_a_serialization_that_would_close_a_trigger_cycle_is_not_offered(demo_config, demo_scenario):
+    cycle = SerializeSignals("tor10_haptic", "drive_now_vocal")
+    assert cycle.describe() == "serialize drive_now_vocal after tor10_haptic"
+    assert cycle in enumerate_moves(demo_config, demo_scenario)
+    config = copy_configuration(demo_config)
+    config.task_map()["drive_now_vocal"].triggers = "tor10_haptic"
+    assert cycle not in enumerate_moves(config, demo_scenario)
 
 
 def test_removals_spare_referenced_tasks(demo_config, demo_scenario):

@@ -411,6 +411,13 @@ def test_paired_csv(tmp_path):
     assert lines[2] == "2,0.5,0.0,0.0,0.0"
 
 
+def test_read_trace_reads_a_record_whose_keys_are_in_another_order(tmp_path):
+    record = make_record()
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(dict(reversed(json.loads(record.to_json()).items()))) + "\n")
+    assert read_trace(path) == [record]
+
+
 @pytest.mark.parametrize("payload", [5, None, "task", [1]])
 @pytest.mark.parametrize("in_order", [True, False], ids=["in-order", "reordered"])
 def test_read_trace_rejects_a_payload_that_is_not_an_object(tmp_path, payload, in_order):

@@ -740,3 +740,117 @@ def test_null_optional_key_counts_as_left_out(tmp_path, target):
     null.write_text(yaml.safe_dump(replaced(document, path, None)))
     missing.write_text(yaml.safe_dump(left_out(document, path)))
     assert load(null) == load(missing)
+
+
+# ---------------------------------------------------------------------------
+# the name rule: a name or path in any input file is its text without surrounding
+# blanks, and one that is null or blank is missing
+
+
+FUNCTION = "cognitive_functions:\n  - {name: %s, task: %s, mean: 5}\n"
+PLAN = "scenario: scenario.yaml\nconfigurations:\n  - {name: %s, tasks: %s, elements: %s}\n"
+
+#: (file, body, location after the file's path, message) of each null, blank or repeated name.
+NAME_ERRORS = [
+    ("elements", "elements:\n  - {name: null}\n", "elements[0]", "each element needs at least a 'name'"),
+    ("elements", "elements:\n  - {name: ''}\n", "elements[0]", "each element needs at least a 'name'"),
+    ("elements", "elements:\n  - {name: ' '}\n", "elements[0]", "each element needs at least a 'name'"),
+    ("scenario", MINIMAL + FUNCTION % ("null", "t"), "cognitive_functions[0]", "needs at least 'name' and 'task'"),
+    ("scenario", MINIMAL + FUNCTION % ("' '", "t"), "cognitive_functions[0]", "needs at least 'name' and 'task'"),
+    ("scenario", MINIMAL + FUNCTION % ("f", "null"), "cognitive_functions[0]", "needs at least 'name' and 'task'"),
+    (
+        "scenario",
+        MINIMAL + FUNCTION % ("f", "t") + "  - {name: ' f ', task: u, mean: 5}\n",
+        "cognitive_functions[1]",
+        "duplicate cognitive function 'f'",
+    ),
+    ("scenario", MINIMAL + "controls:\n  null: {action: switch_up}\n", "controls", "a control needs a task name, got None"),
+    ("scenario", MINIMAL + "controls:\n  '': {action: switch_up}\n", "controls", "a control needs a task name, got ''"),
+    ("scenario", MINIMAL + "bindings:\n  tor60: [null, '']\n", "bindings tor60", "expected a list of task names"),
+    (
+        "scenario",
+        MINIMAL + "bindings:\n  level_change:\n    any: [msg, ' ']\n",
+        "bindings level_change.any",
+        "expected a list of task names",
+    ),
+    ("scale", "scale:\n  cognitive:\n    null: 4.0\n", "", "scale descriptor must be a name, got None"),
+    ("scale", "scale:\n  visual:\n    ' ': 4.0\n", "", "scale descriptor must be a name, got ' '"),
+    ("plan", PLAN.replace("scenario.yaml", "' '") % ("b", "t.csv", "e.yaml"), "", "plan needs a scenario path"),
+    ("plan", PLAN % ("' '", "t.csv", "e.yaml"), "configurations[0]", "needs name, tasks and elements"),
+    ("plan", PLAN % ("b", "' '", "e.yaml"), "configurations[0]", "needs name, tasks and elements"),
+    ("plan", PLAN % ("b", "t.csv", "' '"), "configurations[0]", "needs name, tasks and elements"),
+    (
+        "plan",
+        PLAN % ("b", "t.csv", "e.yaml") + "  - {name: ' b ', tasks: u.csv, elements: e.yaml}\n",
+        "configurations[1]",
+        "duplicate configuration name 'b'",
+    ),
+    (
+        "scenario",
+        MINIMAL + "controls:\n  t: {action: switch_up}\n  ' t ': {action: switch_down}\n",
+        "",
+        "duplicate key ' t ' at line 6 (first at line 5)",
+    ),
+    (
+        "scenario",
+        MINIMAL + "awareness:\n  speed: {}\n  ' speed ': {}\n",
+        "",
+        "duplicate key ' speed ' at line 6 (first at line 5)",
+    ),
+    (
+        "scale",
+        "scale:\n  cognitive:\n    Evaluate single aspect: 4.0\n    ' Evaluate single aspect ': 5.0\n",
+        "",
+        "duplicate key ' Evaluate single aspect ' at line 4 (first at line 3)",
+    ),
+]
+
+
+def load_input(tmp_path, kind, body):
+    """Load ``body`` written to ``<kind>.yaml``: an element or scale file beside an empty task catalog."""
+    path = tmp_path / f"{kind}.yaml"
+    path.write_text(body)
+    tasks = tmp_path / "tasks.csv"
+    tasks.write_text("")
+    if kind == "elements":
+        return load_configuration(tasks, path)
+    if kind == "scale":
+        return load_configuration(tasks, PKG_DATA / "demo_elements.yaml", path)
+    return load_scenario(path) if kind == "scenario" else load_plan(path)
+
+
+@pytest.mark.parametrize(("kind", "body", "spot", "message"), NAME_ERRORS)
+def test_a_null_blank_or_repeated_name_is_one_located_error(tmp_path, kind, body, spot, message):
+    with pytest.raises(ConfigurationError) as err:
+        load_input(tmp_path, kind, body)
+    assert err.value.violations == [Violation("error", f"{tmp_path / kind}.yaml {spot}".rstrip(), message)]
+
+
+#: (file, text, the same text with blanks around one name or path): both load as one input.
+BLANKED = [
+    ("scenario", "name: demo-motorway", "name: ' demo-motorway '"),
+    ("scenario", "{name: speed_check,", "{name: ' speed_check ',"),
+    ("scenario", "task: check_speed,", "task: '\tcheck_speed ',"),
+    ("scenario", "tor60: [tor60_vocal]", "tor60: [' tor60_vocal ']"),
+    ("scenario", "activate_ad:", "' activate_ad ':"),
+    ("scenario", "speed: {resolution: 1}", "' speed ': {resolution: 1}"),
+    ("plan", "scenario: scenario.yaml", "scenario: ' scenario.yaml '"),
+    ("plan", "name: b,", "name: ' b ',"),
+    ("plan", "tasks: t.csv,", "tasks: ' t.csv ',"),
+    ("plan", "elements: e.yaml}", "elements: ' e.yaml '}"),
+    ("plan", "elements: e.yaml}", "elements: e.yaml, scale: ' '}"),
+    ("plan", "scenario:", "name: ' '\nscenario:"),
+]
+
+
+@pytest.mark.parametrize(("kind", "text", "blanked"), BLANKED)
+def test_a_name_loads_without_surrounding_blanks(tmp_path, demo_config, kind, text, blanked):
+    original = PLAN % ("b", "t.csv", "e.yaml")
+    if kind == "scenario":
+        original = (PKG_DATA / "demo_scenario.yaml").read_text()
+    assert original.count(text) == 1
+    expected = load_input(tmp_path, kind, original)
+    loaded = load_input(tmp_path, kind, original.replace(text, blanked))
+    assert loaded == expected
+    if kind == "scenario":  # a task's CognitiveFunctionTrigger cell `speed_check` names the stripped function
+        assert cross_validate(loaded, demo_config) == []

@@ -515,6 +515,31 @@ def test_validate_emits_only_errors():
     assert issues and all(v.severity == "error" for v in issues)
 
 
+CLUSTER = {"cluster": InterfaceElement("cluster", False, 0.2)}
+TOO_HEAVY = {(ScaleCategory.COGNITIVE, "Evaluate single aspect"): 11.0}
+
+
+@pytest.mark.parametrize(
+    ("config", "where", "message"),
+    [
+        (make_config([make_task(gaze_time=-1.0)]), "task t", "gaze_time must be >= 0 and finite, got -1.0"),
+        (
+            Configuration([], {"hud": InterfaceElement("hud", True, -0.5)}, WorkloadScale()),
+            "element hud",
+            "gaze_time must be >= 0 and finite",
+        ),
+        (
+            Configuration([], CLUSTER, WorkloadScale().with_overrides(TOO_HEAVY)),
+            "scale (cognitive, 'Evaluate single aspect')",
+            "value 11.0 outside (0, 10.0]",
+        ),
+    ],
+    ids=["task-gaze", "element-gaze", "scale-value"],
+)
+def test_validate_reports_a_bad_value_as_one_located_error(config, where, message):
+    assert validate(config) == [Violation("error", where, message)]
+
+
 # ---------------------------------------------------------------------------
 # round-trip and copying
 
