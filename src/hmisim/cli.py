@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .experiment import (
@@ -36,6 +37,7 @@ from .experiment import (
 )
 from .metrics import (
     METRICS_CSV_HEADER,
+    trace_line,
     write_counts_csv,
     write_metrics_csv,
     write_paired_csv,
@@ -53,6 +55,7 @@ from .tasks import (
     as_number,
     load_configuration,
     read_input,
+    replacing,
     write_tasks_csv,
 )
 from .trial import run_trial
@@ -192,15 +195,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_configuration(args.tasks, args.elements, args.scale)
     scenario = load_scenario(args.scenario)
-    result = run_trial(config, scenario, args.seed, args.length)
-    out = _out_dir(args)
     if args.subcommand == "export-trace":
+        result = run_trial(config, scenario, args.seed, args.length)
+        out = _out_dir(args)
         write_trace(result.records, out / "trace.jsonl")
         write_timeline_csv(result.records, out / "timeline.csv")
         print(f"{len(result.records)} trace records -> {out / 'trace.jsonl'}, {out / 'timeline.csv'}")
         return 0
+    with ExitStack() as stack:
+        write = None
+
+        def sink(*fields) -> None:
+            """Write each record to the trace file, opened at the first one: after the trial's checks."""
+            nonlocal write
+            if write is None:
+                write = stack.enter_context(replacing(_out_dir(args) / "trace.jsonl")).write
+            write(trace_line(*fields))
+
+        result = run_trial(config, scenario, args.seed, args.length, sink)
+    out = _out_dir(args)
     write_metrics_csv([result.metrics], out / "metrics.csv")
-    write_trace(result.records, out / "trace.jsonl")
     write_counts_csv(result.metrics.per_task_counts, out / "task_counts.csv")
     for name, value in zip(METRICS_CSV_HEADER[1:], result.metrics.indicator_row()):
         print(f"{name}={value!r}")
@@ -412,7 +426,8 @@ def _write_moves_log(result: SearchResult, path: Path, plan: ExperimentPlan) -> 
             f"{len(result.accepted_moves)} accepted move(s), "
             f"{'feasible' if result.feasible else 'infeasible'}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,9 @@ from .tasks import (
     load_configuration,
     name_of,
     named_entries,
+    not_a_name,
     optional,
+    optional_name,
     read_yaml,
     validate,
 )
@@ -638,8 +640,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         raw.get("configurations"), "configurations", ("name", "tasks", "elements"), where, issues,
         "needs name, tasks and elements", "configuration name",
     )
-    for _, names, entry in entries:
-        scale = name_of(entry.get("scale"))
+    for spot, names, entry in entries:
+        scale = optional_name(entry, "scale", spot, issues)
         configurations.append(
             NamedConfiguration(
                 name=names["name"],
@@ -653,7 +655,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
 
     scenario = name_of(raw.get("scenario"))
     if scenario is None:
-        issues.append(Violation("error", where, "plan needs a scenario path"))
+        wrong = not_a_name("scenario", raw.get("scenario"))
+        issues.append(Violation("error", where, wrong or "plan needs a scenario path"))
         scenario_path = Path(".")
     else:
         scenario_path = resolve(scenario)
@@ -704,11 +707,12 @@ def load_plan(path: str | Path) -> ExperimentPlan:
             issues.append(Violation("error", where, f"bad weights: {exc}"))
 
     jobs = as_integer(optional(raw, "jobs", 1), "jobs", where, issues, at_least=1) or 1
+    name = optional_name(raw, "name", where, issues) or path.stem
 
     if issues:
         raise PlanError(issues)
     return ExperimentPlan(
-        name=name_of(raw.get("name")) or path.stem,
+        name=name,
         scenario_path=scenario_path,
         configurations=configurations,
         master_seeds=seeds,

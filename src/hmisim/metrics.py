@@ -16,20 +16,23 @@ Four indicators summarize a trial, each as a percentage:
 The timeline trace is the replayable record of a trial: one record per
 fired or synchronous event carrying the event payload and a post-event
 snapshot (active workload sums, awareness, automation level, road cap).
-Exports are line-delimited JSON with a stable field order.
+Exports are line-delimited JSON with a stable field order.  A collector
+hands each record to its sink: by default a list of :class:`TraceRecord`,
+and for ``hmisim run`` the trace file itself, one :func:`trace_line` each.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from statistics import median_low  # for an even count, the lower middle; re-exported as hmisim.median_low
 from sys import intern
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason, AttentionState
-from .tasks import write_csv
+from .tasks import replacing, write_csv
 from .vehicle import AutomationStateMachine
 
 METRICS_CSV_HEADER = ["seed", "eyes_off_pct", "cog_overload_pct", "perc_overload_pct", "sa_avg_pct"]
@@ -43,6 +46,17 @@ TIMELINE_CSV_HEADER = [
 
 #: What ``json.dumps(..., ensure_ascii=False)`` builds per call, built once.
 _TRACE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+#: ``_encode(value, 0)`` gives the JSON text of ``value`` in chunks: the C encoder that
+#: ``_TRACE_ENCODER.encode`` builds per call, built once and without its cycle check.
+_encode = (
+    c_make_encoder(
+        None, _TRACE_ENCODER.default, encode_basestring, _TRACE_ENCODER.indent,
+        _TRACE_ENCODER.key_separator, _TRACE_ENCODER.item_separator,
+        _TRACE_ENCODER.sort_keys, _TRACE_ENCODER.skipkeys, _TRACE_ENCODER.allow_nan,
+    )
+    if c_make_encoder is not None
+    else lambda value, _level: (_TRACE_ENCODER.encode(value),)
+)
 #: Decodes one JSON value from the start of a string; returns it and where it ends.
 _TRACE_DECODE = json.JSONDecoder().raw_decode
 
@@ -89,12 +103,32 @@ class TraceRecord:
     road_max: int
 
     def to_json(self) -> str:
-        """One JSON object whose keys follow the field order above."""
-        return _TRACE_ENCODER.encode(vars(self))
+        """One JSON object whose keys follow the field order above: its :func:`trace_line`, unended."""
+        return trace_line(*vars(self).values())[:-1]
 
 
 #: The trace keys, in the order ``to_json`` writes them.
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
+
+#: Where a collector sends each trace record, called with the record's fields in order.
+TraceSink = Callable[[float, str, dict[str, Any], float, float, float, int, int], object]
+
+
+def trace_line(
+    time: float, kind: str, payload: dict[str, Any],
+    cognitive_sum: float, perceptual_sum: float, awareness: float, level: int, road_max: int,
+) -> str:
+    """One trace record as its line of the trace file.
+
+    The line is ``json.dumps`` of the fields, in order, with ``ensure_ascii=False``, plus
+    ``\\n``, where the numbers outside the payload are ints or finite floats, as a trial
+    records them: those are written by their ``repr``.
+    """
+    return (
+        f'{{"time": {time!r}, "kind": {encode_basestring(kind)}, "payload": {"".join(_encode(payload, 0))}, '
+        f'"cognitive_sum": {cognitive_sum!r}, "perceptual_sum": {perceptual_sum!r}, '
+        f'"awareness": {awareness!r}, "level": {level!r}, "road_max": {road_max!r}}}\n'
+    )
 
 
 def eyes_off_contribution(total_time: float, perception_type: str, on_road: bool) -> float:
@@ -116,17 +150,20 @@ class MetricsCollector:
     then applies its changes, then :meth:`record`s them.  The indicators
     need only :meth:`advance` and the point accruals: an untraced trial
     never calls :meth:`record`, so it builds no payloads and no records,
-    and :attr:`records` stays empty.
+    and :attr:`records` stays empty.  :meth:`record` hands each record's
+    fields to ``sink``; without one they are kept in :attr:`records`.
     """
 
     def __init__(
-        self, trial_length: float, attention: AttentionState, machine: AutomationStateMachine
+        self, trial_length: float, attention: AttentionState, machine: AutomationStateMachine, sink: TraceSink | None = None
     ) -> None:
         self.trial_length = trial_length
         self.attention = attention
         self.machine = machine
         self.awareness = 1.0
         self.records: list[TraceRecord] = []
+        append = self.records.append  # the default sink builds each record positionally
+        self.sink = (lambda *fields: append(TraceRecord(*fields))) if sink is None else sink
         self.counts: dict[str, TaskCounts] = {}
         self._last_time = 0.0
         self._eyes_off = 0.0
@@ -147,17 +184,10 @@ class MetricsCollector:
         self._last_time = now
 
     def record(self, now: float, kind: str, payload: dict[str, Any]) -> None:
-        self.records.append(
-            TraceRecord(
-                time=now,
-                kind=kind,
-                payload=payload,
-                cognitive_sum=self.attention.cognitive_sum,
-                perceptual_sum=self.attention.perceptual_sum,
-                awareness=self.awareness,
-                level=self.machine.level,
-                road_max=self.machine.current_max,
-            )
+        attention, machine = self.attention, self.machine
+        self.sink(
+            now, kind, payload, attention.cognitive_sum, attention.perceptual_sum,
+            self.awareness, machine.level, machine.current_max,
         )
 
     # -- point accruals -------------------------------------------------------
@@ -217,10 +247,9 @@ def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
 # file formats
 
 def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(record.to_json())
-            handle.write("\n")
+    """Write one :func:`trace_line` per record, through :func:`~hmisim.tasks.replacing`."""
+    with replacing(path) as handle:
+        handle.writelines(trace_line(*vars(record).values()) for record in records)
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:

@@ -18,7 +18,7 @@ from typing import Any
 
 from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_sigma
 from .tasks import Configuration, ConfigurationError, Initiator, Violation
-from .tasks import as_list, as_mapping, as_number, name_of, named_entries, optional, read_yaml
+from .tasks import as_list, as_mapping, as_number, name_of, named_entries, optional, optional_name, read_yaml
 from .vehicle import (
     BINDING_EVENTS,
     GROUND_TRUTH_PARAMETERS,
@@ -99,7 +99,7 @@ def load_scenario(path: str | Path) -> Scenario:
     if raw is None:
         raise ScenarioError(issues)
 
-    name = name_of(raw.get("name")) or path.stem
+    name = optional_name(raw, "name", where, issues) or path.stem
     road = _parse_road(raw.get("road"), where, issues)
     speed = _parse_speed(raw.get("speed"), where, issues)
     functions = _parse_functions(raw.get("cognitive_functions"), where, issues)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 import yaml
 
@@ -159,9 +161,26 @@ def read_input(path: Path, kind: str, issues: list[Violation]) -> str | None:
     return None
 
 
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """Write ``path`` whole or not at all: a UTF-8 temp file beside it, written as given
+    (no newline translation), that replaces ``path`` when the block ends and is removed
+    if the block raises."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    handle = open(temp, "w", newline="", encoding="utf-8")
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
-    """Write a header and rows as a UTF-8 CSV file with ``\\n`` line ends."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    """Write a header and rows as a UTF-8 CSV file with ``\\n`` line ends, through :func:`replacing`."""
+    with replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -236,8 +255,31 @@ def as_list(value: Any, what: str, where: str, issues: list[Violation]) -> list:
 
 
 def name_of(value: Any) -> str | None:
-    """A name or path as every input file gives it: the text without surrounding blanks, or None if null or blank."""
-    return None if value is None else str(value).strip() or None
+    """A name or path as every input file gives it: text without surrounding blanks, or a number.
+
+    None if null or blank, and for any other value (a bool, a list, a mapping, a date).
+    """
+    if isinstance(value, str):
+        return value.strip() or None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    return None
+
+
+def not_a_name(what: str, value: Any) -> str | None:
+    """The error text for a value given as a name that is not one; None for a name, null or blank text."""
+    if value is None or isinstance(value, str) or name_of(value) is not None:
+        return None
+    return f"{what} must be text or a number, got {value!r}"
+
+
+def optional_name(mapping: dict, key: str, where: str, issues: list[Violation]) -> str | None:
+    """An optional name key's name; None if left out, null or blank, or after one located error if not a name."""
+    value = mapping.get(key)
+    wrong = not_a_name(key, value)
+    if wrong:
+        issues.append(Violation("error", where, wrong))
+    return name_of(value)
 
 
 def named_entries(
@@ -245,15 +287,17 @@ def named_entries(
 ) -> Iterator[tuple[str, dict[str, str], dict]]:
     """Each mapping of a list section that names every key in ``needs``: its location, those names, the mapping.
 
-    An entry that is not a mapping or lacks one of those names is the located error ``missing``;
-    one whose first name repeats an earlier entry's is ``duplicate {noun} {name!r}``.
+    An entry that is not a mapping or lacks one of those names is the located error ``missing``,
+    which names the first value that is not a name (see :func:`not_a_name`); one whose first
+    name repeats an earlier entry's is ``duplicate {noun} {name!r}``.
     """
     seen: set[str] = set()
     for i, entry in enumerate(as_list(value, section, where, issues)):
         spot = f"{where} {section}[{i}]"
         names = {key: name_of(entry.get(key)) for key in needs} if isinstance(entry, dict) else {}
         if not names or None in names.values():
-            issues.append(Violation("error", spot, missing))
+            wrong = [text for key in names if (text := not_a_name(key, entry.get(key)))]
+            issues.append(Violation("error", spot, f"{missing}; {wrong[0]}" if wrong else missing))
         elif names[needs[0]] in seen:
             issues.append(Violation("error", spot, f"duplicate {noun} {names[needs[0]]!r}"))
         else:
@@ -369,7 +413,7 @@ def _load_elements(path: Path, issues: list[Violation]) -> dict[str, InterfaceEl
             # The load fails already; keeping the name known spares the tasks on it follow-on errors.
             on_road, gaze = False, 0.0
         elements[names["name"]] = InterfaceElement(name=names["name"], on_road=on_road, gaze_time=gaze)
-    return None if any(v.message == unnamed for v in issues[reported:]) else elements
+    return None if any(v.message.startswith(unnamed) for v in issues[reported:]) else elements
 
 
 def _load_scale(path: Path, issues: list[Violation]) -> WorkloadScale:

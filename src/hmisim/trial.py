@@ -25,7 +25,7 @@ import numpy as np
 from . import driver as driver_mod
 from .attention import Aborted, AttentionState, Granted, Queued, TaskInstance
 from .engine import EventCalendar, EventKind, RandomStreams
-from .metrics import MetricsCollector, TraceRecord, TrialMetrics, eyes_off_contribution
+from .metrics import MetricsCollector, TraceRecord, TraceSink, TrialMetrics, eyes_off_contribution
 from .scenario import ControlBinding, Scenario, cross_validate
 from .tasks import Configuration, ConfigurationError, Task, Violation, validate
 from .vehicle import (
@@ -86,9 +86,14 @@ def run_trial(
     scenario: Scenario,
     seed: int,
     trial_length: float,
-    trace: bool = True,
+    trace: bool | TraceSink = True,
 ) -> TrialResult:
-    """Run one fully deterministic trial: its metrics, and its trace unless ``trace=False``."""
+    """Run one fully deterministic trial: its metrics, and its trace unless ``trace=False``.
+
+    With ``trace=True`` the trace is ``TrialResult.records``; a sink (see
+    :class:`~hmisim.metrics.MetricsCollector`) is handed each record as it is
+    made instead, and ``records`` stays empty.
+    """
     problems = [v for v in validate(config) if v.severity == "error"]
     problems += [v for v in cross_validate(scenario, config) if v.severity == "error"]
     if problems:
@@ -104,7 +109,7 @@ class _Trial:
     """One trial; an untraced one builds no trace payload (each sits under ``if self.trace``)."""
 
     def __init__(
-        self, config: Configuration, scenario: Scenario, seed: int, trial_length: float, trace: bool
+        self, config: Configuration, scenario: Scenario, seed: int, trial_length: float, trace: bool | TraceSink
     ) -> None:
         self.scenario = scenario
         self.seed = seed
@@ -140,7 +145,9 @@ class _Trial:
         }
 
         self.attention = AttentionState()
-        self.collector = MetricsCollector(trial_length, self.attention, self.machine)
+        self.collector = MetricsCollector(
+            trial_length, self.attention, self.machine, None if isinstance(trace, bool) else trace
+        )
         self._update_awareness()
 
         # Everything time-driven is scheduled before the clock starts:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -11,9 +14,10 @@ import pytest
 import hmisim
 from hmisim.cli import main
 from hmisim.experiment import ReallocateLocation, apply_move
-from hmisim.metrics import read_trace
+from hmisim.metrics import read_trace, write_trace
 from hmisim.replay import check_safety_rules, replay_metrics
-from hmisim.tasks import write_tasks_csv
+from hmisim.scenario import load_scenario
+from hmisim.tasks import load_configuration, write_tasks_csv
 from hmisim.trial import run_trial
 
 DATA = Path(__file__).parent / "data"
@@ -488,6 +492,87 @@ def test_run_failing_after_its_trial_exits_2_with_one_line(tmp_path, capsys, mon
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: FileExistsError: ")
+
+
+def test_run_failing_inside_its_trial_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    written = []
+
+    def failing(trial, instance, now):
+        written.extend(p.name for p in out.iterdir())
+        raise RuntimeError(f"handler failed at {now}")
+
+    monkeypatch.setitem(hmisim.trial._HANDLERS, hmisim.EventKind.TASK_END, failing)
+    code = main(["run", *SCRIPTED, *SCRIPTED_SCENARIO, "--length", "100", "--out", str(out)])
+    assert code == 2
+    message = "dispatcher failed on task-end event at t=12.0: handler failed at 12.0"
+    assert capsys.readouterr() == ("", f"error: SimulationError: {message}\n")
+    assert written == [f".trace.jsonl.{os.getpid()}.tmp"]  # the trace was under way
+    assert list(out.iterdir()) == []  # and is gone: no trace.jsonl, no temp file
+
+
+def rename_in_files(tmp_path, renames):
+    """The scripted design and scenario with names replaced: task and element cells, YAML scalars."""
+    with open(DATA / "scripted_tasks.csv", newline="", encoding="utf-8") as handle:
+        rows = [[renames.get(cell, cell) for cell in row] for row in csv.reader(handle)]
+    with open(tmp_path / "tasks.csv", "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    for name in ("scripted_elements.yaml", "scripted_scenario.yaml"):
+        text = (DATA / name).read_text(encoding="utf-8")
+        for old, new in renames.items():
+            text = re.sub(rf"\b{old}\b", json.dumps(new, ensure_ascii=False).replace("\\", r"\\"), text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    design = ["--tasks", str(tmp_path / "tasks.csv"), "--elements", str(tmp_path / "scripted_elements.yaml")]
+    return design, ["--scenario", str(tmp_path / "scripted_scenario.yaml")]
+
+
+@pytest.mark.parametrize("renamed", [False, True], ids=["scripted", "non-ascii-quoted-names"])
+def test_run_streams_the_trace_write_trace_writes(tmp_path, capsys, renamed):
+    design, scenario = SCRIPTED, SCRIPTED_SCENARIO
+    if renamed:
+        renames = {"check_speed": 'Tempo "prüfen" ✓', "take_over": "Übernahme\\jetzt", "instrument_cluster": "Kombi «Mitte»"}
+        design, scenario = rename_in_files(tmp_path, renames)
+    assert main(["run", *design, *scenario, "--seed", "2", "--length", "100", "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    config = load_configuration(design[1], design[3])
+    result = run_trial(config, load_scenario(scenario[1]), 2, 100.0)
+    write_trace(result.records, tmp_path / "written.jsonl")
+    streamed = (tmp_path / "out" / "trace.jsonl").read_bytes()
+    assert streamed == (tmp_path / "written.jsonl").read_bytes()
+    if renamed:
+        assert all(json.dumps(name, ensure_ascii=False).encode() in streamed for name in renames.values())
+        assert {r.payload.get("task") for r in read_trace(tmp_path / "out" / "trace.jsonl")} >= {
+            'Tempo "prüfen" ✓', "Übernahme\\jetzt"
+        }
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["metrics.csv", "task_counts.csv", "trace.jsonl"]
+
+
+FUNCTION_LINE = "  - {name: speed_check, task: check_speed, mean: 22, sigma: 0}\n"
+#: (input file, the text added to it, location after its path, message) of a name that is not text or a number.
+NOT_A_NAME = [
+    ("scripted_elements.yaml", "  - {name: [a, b]}\n", "elements[4]", "name must be text or a number, got ['a', 'b']"),
+    ("scripted_elements.yaml", "  - {name: true}\n", "elements[4]", "name must be text or a number, got True"),
+    ("scripted_elements.yaml", "  - {name: {x: 1}}\n", "elements[4]", "name must be text or a number, got {'x': 1}"),
+    ("scripted_scenario.yaml", "  - {name: f, task: [a], mean: 5}\n", "cognitive_functions[1]", "task must be text or a number, got ['a']"),
+]
+
+
+@pytest.mark.parametrize(("name", "added", "spot", "message"), NOT_A_NAME)
+def test_a_name_that_is_not_text_or_a_number_fails_validate_and_run_once(tmp_path, capsys, name, added, spot, message):
+    text = (DATA / name).read_text()
+    edited = tmp_path / name
+    edited.write_text(text.replace(FUNCTION_LINE, FUNCTION_LINE + added) if "scenario" in name else text + added)
+    paths = {"--tasks": DATA / "scripted_tasks.csv", "--elements": DATA / "scripted_elements.yaml"}
+    paths["--scenario"] = DATA / "scripted_scenario.yaml"
+    paths[f"--{name.split('_')[1].split('.')[0]}"] = edited
+    inputs = [str(part) for flag, path in paths.items() for part in (flag, path)]
+    needs = "each element needs at least a 'name'" if "elements" in name else "needs at least 'name' and 'task'"
+    expected = f"error: {edited} {spot}: {needs}; {message}"
+    for argv, stream in ((["validate", *inputs], 0), (["run", *inputs, "--out", str(tmp_path / "out")], 1)):
+        assert main(argv) == 1
+        located = [line.strip() for line in capsys.readouterr()[stream].splitlines() if str(edited) in line]
+        assert located == [expected]
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_dir_env_default(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import hmisim
 
 from hmisim.attention import AbortReason
 from hmisim.metrics import (
@@ -23,6 +31,7 @@ from hmisim.metrics import (
     eyes_off_contribution,
     median_low,
     read_trace,
+    trace_line,
     write_counts_csv,
     write_metrics_csv,
     write_paired_csv,
@@ -228,6 +237,64 @@ def test_trace_record_json_key_order():
     ]
 
 
+#: Payload values of every JSON kind a trial writes, and some it never does.
+PAYLOAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.lists(st.text(), max_size=3)
+)
+#: The fields of one trace record: the numbers outside the payload are ints or finite floats.
+RECORD_FIELDS = st.tuples(
+    st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e9)),
+    st.text(),
+    st.dictionaries(st.text(), PAYLOAD_VALUES, max_size=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.0),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+#: Records whose text needs escaping or is not ASCII, and payload floats JSON has no literal for.
+AWKWARD_FIELDS = [
+    (600, 'task-"end"', {"task": 'Tempo "prüfen" \\ ✓', "note": "tab\there\nnew\x00\x1f\x7f"}, 4.6, 4.0, 0.5, 2, 4),
+    (1.5, "trigger", {"x": float("nan"), "y": float("inf"), "z": -float("inf"), "w": -0.0}, 0.0, 0.0, 1.0, 0, 0),
+    (1e16, "\u00e9\U0001f600", {"names": ["a\"b", "\u2028", ""], "on": True, "off": False, "n": None}, 1e-7, 2.5, 0.25, 4, 3),
+]
+
+
+def dumped(record):
+    """The line ``json.dumps`` writes for a record's fields, keys in field order."""
+    keys = [f.name for f in fields(TraceRecord)]
+    return json.dumps(dict(zip(keys, record)), ensure_ascii=False) + "\n"
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(RECORD_FIELDS)
+@example(AWKWARD_FIELDS[0])
+@example(AWKWARD_FIELDS[1])
+@example(AWKWARD_FIELDS[2])
+def test_trace_line_is_json_dumps_of_the_fields(record):
+    assert trace_line(*record) == dumped(record)
+    assert TraceRecord(*record).to_json() + "\n" == dumped(record)
+
+
+def test_trace_line_without_the_c_encoder_writes_the_same_text():
+    # Without json's C accelerator the payload goes through JSONEncoder.encode; the text is the same.
+    script = (
+        "import json, json.encoder, sys\n"
+        "json.encoder.c_make_encoder = None\n"
+        "from hmisim import metrics\n"
+        "assert metrics._encode.__name__ == '<lambda>'\n"
+        "print(json.dumps([metrics.trace_line(*f) for f in json.load(sys.stdin)]))\n"
+    )
+    package_root = str(Path(hmisim.__file__).parents[1])
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(AWKWARD_FIELDS), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": search_path}, check=True,
+    )
+    assert json.loads(done.stdout) == [dumped(f) for f in AWKWARD_FIELDS]
+
+
 def test_trace_round_trip(tmp_path):
     records = [make_record(time=float(i)) for i in range(5)]
     path = tmp_path / "trace.jsonl"
@@ -428,3 +495,12 @@ def test_read_trace_rejects_a_payload_that_is_not_an_object(tmp_path, payload, i
     path.write_text(json.dumps(raw) + "\n")
     with pytest.raises(TypeError, match="payload"):
         read_trace(path)
+
+
+def test_a_trial_of_int_length_ends_its_trace_at_an_int_time(demo_config, demo_scenario):
+    records = hmisim.run_trial(demo_config, demo_scenario, 1, 600).records
+    end = records[-1]
+    assert (end.kind, end.time, type(end.time)) == ("trial-end", 600, int)
+    with pytest.raises(TypeError):
+        float.__repr__(end.time)
+    assert [trace_line(*vars(r).values()) for r in records] == [dumped(vars(r).values()) for r in records]

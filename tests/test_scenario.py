@@ -27,7 +27,7 @@ from hmisim.scenario import (
 )
 from hmisim.tasks import ConfigurationError, Initiator, Violation, load_configuration
 from hmisim.trial import run_trial
-from hmisim.vehicle import RoadProcessParams, RoadSegment, RoadTimeline
+from hmisim.vehicle import GROUND_TRUTH_PARAMETERS, RoadProcessParams, RoadSegment, RoadTimeline
 
 
 def write_scenario(tmp_path, body):
@@ -747,6 +747,7 @@ def test_null_optional_key_counts_as_left_out(tmp_path, target):
 # blanks, and one that is null or blank is missing
 
 
+KNOWN = ", ".join(GROUND_TRUTH_PARAMETERS)
 FUNCTION = "cognitive_functions:\n  - {name: %s, task: %s, mean: 5}\n"
 PLAN = "scenario: scenario.yaml\nconfigurations:\n  - {name: %s, tasks: %s, elements: %s}\n"
 
@@ -824,6 +825,38 @@ def test_a_null_blank_or_repeated_name_is_one_located_error(tmp_path, kind, body
     with pytest.raises(ConfigurationError) as err:
         load_input(tmp_path, kind, body)
     assert err.value.violations == [Violation("error", f"{tmp_path / kind}.yaml {spot}".rstrip(), message)]
+
+
+#: (file, body, location after the file's path, message) of a name or path that is neither text nor a number.
+NOT_A_NAME = [
+    ("scenario", MINIMAL + "name: [a]\n", "", "name must be text or a number, got ['a']"),
+    ("scenario", MINIMAL + "name: 2020-01-01\n", "", "name must be text or a number, got datetime.date(2020, 1, 1)"),
+    ("scenario", MINIMAL + "controls:\n  true: {action: switch_up}\n", "controls", "a control needs a task name, got True"),
+    ("scenario", MINIMAL + "bindings:\n  tor60: [true]\n", "bindings tor60", "expected a list of task names"),
+    ("scenario", MINIMAL + "awareness:\n  false: {}\n", "awareness", f"False has no ground-truth counterpart (known: {KNOWN})"),
+    ("scale", "scale:\n  cognitive:\n    true: 4.0\n", "", "scale descriptor must be a name, got True"),
+    ("plan", "name: true\n" + PLAN % ("b", "t.csv", "e.yaml"), "", "name must be text or a number, got True"),
+    ("plan", PLAN.replace("scenario.yaml", "[s.yaml]") % ("b", "t.csv", "e.yaml"), "", "scenario must be text or a number, got ['s.yaml']"),
+    (
+        "plan",
+        PLAN % ("b", "{x: 1}", "e.yaml"),
+        "configurations[0]",
+        "needs name, tasks and elements; tasks must be text or a number, got {'x': 1}",
+    ),
+    ("plan", PLAN % ("b", "t.csv", "e.yaml, scale: [s]"), "configurations[0]", "scale must be text or a number, got ['s']"),
+]
+
+
+@pytest.mark.parametrize(("kind", "body", "spot", "message"), NOT_A_NAME)
+def test_a_name_that_is_not_text_or_a_number_is_one_located_error(tmp_path, kind, body, spot, message):
+    with pytest.raises(ConfigurationError) as err:
+        load_input(tmp_path, kind, body)
+    assert err.value.violations == [Violation("error", f"{tmp_path / kind}.yaml {spot}".rstrip(), message)]
+
+
+def test_a_number_is_a_name(tmp_path):
+    config = load_input(tmp_path, "elements", "elements:\n  - {name: 4}\n  - {name: 2.5}\n")
+    assert list(config.elements) == ["4", "2.5"]
 
 
 #: (file, text, the same text with blanks around one name or path): both load as one input.
