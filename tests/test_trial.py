@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import gc
+import tempfile
 import textwrap
 import weakref
 from dataclasses import replace
+from importlib import resources
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -438,3 +442,93 @@ def test_fixed_timeline_longer_than_trial_is_clipped(scripted_config, scripted_s
     # the clock still ran the full 50 s with the speed checks intact
     assert [r.time for r in result.records if r.kind == "trigger"] == [22.0, 44.0]
     assert result.records[-1].time == 50.0
+
+
+# ---------------------------------------------------------------------------
+# the world before L does not depend on L
+
+
+def _road_and_speed_before(records, end):
+    """The ``(time, payload)`` of every road change and speed change before ``end``."""
+    return [
+        (r.time, r.payload)
+        for r in records
+        if r.time < end
+        and (r.kind == "road-change" or (r.kind == "vehicle-transition" and r.payload["change"] == "speed"))
+    ]
+
+
+DEMO_SCENARIO = resources.files("hmisim") / "data" / "demo_scenario.yaml"
+_LEVELS = st.sets(st.integers(0, 4), min_size=1).map(sorted)
+_SPEEDS = st.floats(-200.0, 200.0)
+
+
+@st.composite
+def _drawn_road(draw):
+    """A road ``process`` section; some levels may be absorbing."""
+    levels = draw(_LEVELS)
+    dwell, transitions = {}, {}
+    for level in levels:
+        entry = {"mean": draw(st.floats(0.1, 600.0)), "min": draw(st.floats(0.0, 300.0))}
+        if draw(st.booleans()):
+            entry["max"] = entry["min"] + draw(st.floats(0.1, 600.0))
+        dwell[level] = entry
+        others = [other for other in levels if other != level]
+        targets = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        transitions[level] = {target: draw(st.floats(0.01, 10.0)) for target in targets}
+    initial = draw(st.sampled_from(levels))
+    return {"process": {"initial_level": initial, "dwell": dwell, "transitions": transitions}}
+
+
+@st.composite
+def _fixed_road(draw, covers):
+    """A ``fixed_segments`` section that ends at or after ``covers``."""
+    end = covers + draw(st.floats(0.0, 500.0))
+    cuts = sorted(set(draw(st.lists(st.floats(0.0, end, exclude_min=True, exclude_max=True), max_size=20))))
+    bounds = [0.0, *cuts, end]
+    return {"fixed_segments": [[a, b, draw(st.integers(0, 4))] for a, b in zip(bounds, bounds[1:])]}
+
+
+_SPEED_SECTIONS = st.one_of(
+    st.builds(lambda value: {"constant": value}, _SPEEDS),
+    st.dictionaries(st.floats(0.0, 3000.0, exclude_min=True), _SPEEDS, max_size=20).map(
+        lambda changes: {"steps": [[0.0, 0.0], *([time, changes[time]] for time in sorted(changes))]}
+    ),
+    st.builds(
+        lambda period, values: {"cycle": {"period": period, "values": values}},
+        st.floats(0.1, 1000.0),
+        st.lists(_SPEEDS, min_size=1, max_size=6),
+    ),
+)
+
+
+@st.composite
+def _worlds(draw):
+    """A road and a speed section for the demo scenario, and trial lengths L1 < L2."""
+    short = draw(st.floats(1.0, 1500.0))
+    long = short + draw(st.floats(0.001, 1500.0))
+    road = draw(st.one_of(_drawn_road(), _fixed_road(long)))
+    return road, draw(_SPEED_SECTIONS), short, long
+
+
+@settings(max_examples=50, deadline=None)
+@given(world=_worlds(), seed=st.integers(0, 2**64 - 1))
+def test_road_and_speed_before_the_shorter_length_do_not_depend_on_the_length(demo_config, world, seed):
+    road, speed, short, long = world
+    raw = {**yaml.safe_load(DEMO_SCENARIO.read_text()), "road": road, "speed": speed}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        scenario = load_scenario(path)
+    first = run_trial(demo_config, scenario, seed, short).records
+    second = run_trial(demo_config, scenario, seed, long).records
+    assert _road_and_speed_before(first, short) == _road_and_speed_before(second, short)
+
+
+def test_the_scripted_fixed_road_and_speed_before_50_s_do_not_depend_on_the_length(
+    scripted_config, scripted_scenario
+):
+    first = run_trial(scripted_config, scripted_scenario, seed=1, trial_length=50.0).records
+    second = run_trial(scripted_config, scripted_scenario, seed=1, trial_length=100.0).records
+    assert _road_and_speed_before(first, 50.0) == _road_and_speed_before(second, 50.0)
+    assert _road_and_speed_before(second, 100.0) == [(70.0, {"max_level": 2, "previous_max": 4})]
