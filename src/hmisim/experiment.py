@@ -327,7 +327,7 @@ def apply_move(config: Configuration, move: DesignMove) -> Configuration:
     else:
         raise ConfigurationError([Violation("error", "move", f"unknown move type {move!r}")])
 
-    problems = [v for v in validate(result) if v.severity == "error"]
+    problems = validate(result)
     if problems:
         raise ConfigurationError(problems)
     return result

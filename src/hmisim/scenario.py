@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .driver import ALL_LEVELS, AwarenessParameter, CognitiveFunction, default_sigma
 from .tasks import Configuration, ConfigurationError, Initiator, Violation
@@ -47,14 +48,11 @@ class SpeedScript:
     def initial_value(self) -> float:
         return self.values[0] if self.period else self.steps[0][1]
 
-    def next_change(self, after: float) -> tuple[float, float] | None:
-        """First (time, value) change strictly after ``after``, if any."""
+    def changes(self) -> Iterator[tuple[float, float]]:
+        """The (time, value) changes after t = 0, in time order; a cycle's have no end."""
         if not self.period:
-            return next((step for step in self.steps if step[0] > after), None)
-        index = math.floor(after / self.period) + 1
-        if index * self.period <= after:  # rounding can land that multiple at or before `after`
-            index += 1
-        return (index * self.period, self.values[index % len(self.values)])
+            return iter(self.steps[1:])
+        return ((k * self.period, self.values[k % len(self.values)]) for k in count(1))
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,10 @@ def _parse_road(
             issues.append(Violation("error", where, "fixed_segments is empty"))
             return None
         try:
-            timeline = RoadTimeline(segments=tuple(segments), horizon=segments[-1].end)
+            return RoadTimeline(segments=tuple(segments))
         except ValueError as exc:
             issues.append(Violation("error", where, str(exc)))
             return None
-        return timeline
     if "process" not in raw:
         issues.append(Violation("error", where, "road needs 'process' or 'fixed_segments'"))
         return None

@@ -413,7 +413,8 @@ def _load_elements(path: Path, issues: list[Violation]) -> dict[str, InterfaceEl
             # The load fails already; keeping the name known spares the tasks on it follow-on errors.
             on_road, gaze = False, 0.0
         elements[names["name"]] = InterfaceElement(name=names["name"], on_road=on_road, gaze_time=gaze)
-    return None if any(v.message.startswith(unnamed) for v in issues[reported:]) else elements
+    every_named = all(isinstance(entry, dict) and name_of(entry.get("name")) is not None for entry in entries)
+    return elements if every_named else None
 
 
 def _load_scale(path: Path, issues: list[Violation]) -> WorkloadScale:
@@ -623,7 +624,7 @@ def load_configuration(
 
 
 def validate(config: Configuration) -> list[Violation]:
-    """Structural checks on an in-memory configuration.  Returns violations."""
+    """Structural checks on an in-memory configuration.  Returns its errors; it has no warnings."""
     issues: list[Violation] = []
     seen: set[str] = set()
     names = {t.name for t in config.tasks}

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Any, Callable
+from itertools import count, takewhile
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def run_trial(
     :class:`~hmisim.metrics.MetricsCollector`) is handed each record as it is
     made instead, and ``records`` stays empty.
     """
-    problems = [v for v in validate(config) if v.severity == "error"]
+    problems = validate(config)
     problems += [v for v in cross_validate(scenario, config) if v.severity == "error"]
     if problems:
         raise ConfigurationError(problems)
@@ -124,10 +124,17 @@ class _Trial:
         streams = RandomStreams(seed)
         self._uids = count(1)
 
-        if isinstance(scenario.road, RoadTimeline):
-            timeline = _clip_timeline(scenario.road, trial_length)
+        road = scenario.road
+        if isinstance(road, RoadTimeline):
+            covered = road.segments[-1].end
+            if covered < trial_length:
+                message = f"fixed timeline covers {covered} s but the trial needs {trial_length} s"
+                raise ConfigurationError([Violation("error", "scenario road", message)])
+            segments: Iterable[RoadSegment] = road.segments
         else:
-            timeline = generate_timeline(scenario.road, streams.stream(ROAD_STREAM), trial_length)
+            segments = generate_timeline(road, streams.stream(ROAD_STREAM))
+        # The trial keeps the segments that start within its length, the last one whole.
+        timeline = RoadTimeline(tuple(takewhile(lambda segment: segment.start < trial_length, segments)))
 
         self.truth: dict[str, Any] = {}
         self.machine = AutomationStateMachine(
@@ -161,9 +168,8 @@ class _Trial:
             scenario.vehicle.tor_lead_seconds,
             scenario.vehicle.tor_final_seconds,
         )
-        change = scenario.speed.next_change(0.0)
-        if change is not None and change[0] <= trial_length:
-            self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, change)
+        self._speed_changes = scenario.speed.changes()
+        self._schedule_speed_change()
         for function in scenario.cognitive_functions:
             source = f"cf:{function.name}"
             self._schedule_firing(_FunctionRow(function, streams.stream(source), source), 0.0)
@@ -389,9 +395,13 @@ class _Trial:
         self._update_awareness()
         if self.trace:
             self.collector.record(now, "vehicle-transition", {"change": "speed", "speed": speed})
-        nxt = self.scenario.speed.next_change(now)
-        if nxt is not None and nxt[0] <= self.length:
-            self.calendar.schedule(nxt[0], EventKind.SPEED_CHANGE, nxt)
+        self._schedule_speed_change()
+
+    def _schedule_speed_change(self) -> None:
+        """Take the speed script's next change; one past the length never fires."""
+        change = next(self._speed_changes, None)
+        if change is not None and change[0] <= self.length:
+            self.calendar.schedule(change[0], EventKind.SPEED_CHANGE, change)
 
     def _truncate_remaining(self) -> None:
         """Record the books balanced at the trial horizon (traced trials only).
@@ -423,25 +433,3 @@ _HANDLERS: dict[EventKind, Callable[[_Trial, Any, float], None]] = {
     EventKind.TOR: _Trial._on_tor,
     EventKind.SPEED_CHANGE: _Trial._on_speed_change,
 }
-
-
-def _clip_timeline(timeline, trial_length: float):
-    """Fit a fixed timeline to the trial horizon (error if too short)."""
-    if timeline.horizon < trial_length:
-        raise ConfigurationError(
-            [
-                Violation(
-                    "error",
-                    "scenario road",
-                    f"fixed timeline covers {timeline.horizon} s but the trial needs {trial_length} s",
-                )
-            ]
-        )
-    if timeline.horizon == trial_length:
-        return timeline
-    clipped = []
-    for seg in timeline.segments:
-        if seg.start >= trial_length:
-            break
-        clipped.append(RoadSegment(seg.start, min(seg.end, trial_length), seg.max_level))
-    return RoadTimeline(segments=tuple(clipped), horizon=trial_length)

@@ -1,8 +1,9 @@
 """Vehicle environment: road availability timeline and automation state.
 
-The road is a pre-generated semi-Markov timeline partitioning the trial
-horizon into segments, each capping the available automation level at
-0-4 (4 = autonomous driving).  The vehicle state machine keeps the
+The road is a semi-Markov sequence of segments from t = 0, each capping
+the available automation level at 0-4 (4 = autonomous driving).  A drawn
+road has no end unless a level is absorbing; a trial keeps the segments
+that start within its length.  The vehicle state machine keeps the
 active level and the road's current cap, and mirrors them and the
 scripted speed into ground truth; it enforces that drivers may switch up
 only to an available level, that drivers may always switch down, and
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -51,8 +52,9 @@ class RoadSegment:
 
 @dataclass(frozen=True)
 class RoadTimeline:
+    """Segments that partition the road from t = 0 to the last segment's end."""
+
     segments: tuple[RoadSegment, ...]
-    horizon: float
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -60,12 +62,10 @@ class RoadTimeline:
         expected = 0.0
         for seg in self.segments:
             if seg.start != expected or seg.end <= seg.start:
-                raise ValueError(f"segments must partition [0, horizon): bad segment {seg}")
+                raise ValueError(f"segments must partition the road from 0: bad segment {seg}")
             if not 0 <= seg.max_level <= MAX_LEVEL:
                 raise ValueError(f"max_level outside 0..{MAX_LEVEL}: {seg}")
             expected = seg.end
-        if expected != self.horizon:
-            raise ValueError(f"segments end at {expected}, horizon is {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -82,33 +82,28 @@ class RoadProcessParams:
     transitions: dict[int, dict[int, float]]
 
 
-def generate_timeline(
-    params: RoadProcessParams, stream: np.random.Generator, horizon: float
-) -> RoadTimeline:
-    """Draw a semi-Markov availability timeline covering [0, horizon).
+def generate_timeline(params: RoadProcessParams, stream: np.random.Generator) -> Iterator[RoadSegment]:
+    """Draw a semi-Markov availability road from t = 0, one segment at a time.
 
     Dwell times are exponential with the configured mean, clamped to
-    [minimum, maximum]; a level with no outgoing transitions is absorbing.
+    [minimum, maximum].  The segments have no end unless a level is
+    absorbing (it has no outgoing transitions): that level's segment ends
+    at ``math.inf`` and is the last.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    segments: list[RoadSegment] = []
     level = params.initial_level
     t = 0.0
-    while t < horizon:
+    while True:
         dwell = params.dwell[level]
         weights = params.transitions.get(level) or {}
         if not weights:
-            segments.append(RoadSegment(t, horizon, level))  # absorbing state
-            break
+            yield RoadSegment(t, math.inf, level)  # absorbing state
+            return
         draw = float(stream.exponential(dwell.mean))
         duration = min(max(draw, dwell.minimum), dwell.maximum)
         duration = max(duration, 1e-9)  # keep the partition strict
-        end = min(t + duration, horizon)
-        segments.append(RoadSegment(t, end, level))
-        t = end
+        yield RoadSegment(t, t + duration, level)
+        t += duration
         level = _weighted_choice(weights, stream)
-    return RoadTimeline(segments=tuple(segments), horizon=horizon)
 
 
 def _weighted_choice(weights: dict[int, float], stream: np.random.Generator) -> int:

@@ -1,9 +1,12 @@
-"""The public surface: the package exports, and every name the benchmark's tracer patches."""
+"""The public surface: the package exports, every name the benchmark's tracer patches, and the
+documented lists of modules and subcommands."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -11,9 +14,10 @@ import pytest
 
 import hmisim
 import hmisim.cli  # the package does not import its CLI; the tracer wraps names in it
-from hmisim.cli import main
+from hmisim.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 DATA = Path(__file__).parent / "data"
 
 
@@ -80,6 +84,19 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{module.name}: {name}" for name in imported if name not in used]
     assert unused == []
+
+
+def test_the_readme_module_map_names_every_module_once():
+    table = README.read_text().split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    mapped = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+    modules = {path.stem for path in Path(hmisim.__file__).parent.glob("*.py")} - {"__init__"}
+    assert sorted(mapped) == sorted(modules)
+
+
+def test_the_cli_docstring_lists_every_subcommand_once():
+    listed = re.findall(r"^    hmisim (\S+)", hmisim.cli.__doc__, re.MULTILINE)
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(subcommands.choices)
 
 
 @pytest.fixture

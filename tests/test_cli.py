@@ -382,6 +382,37 @@ def test_wrong_shape_scenario_section_is_one_located_error(tmp_path, capsys, old
 
 
 @pytest.mark.parametrize(
+    ("old", "new", "message", "detail"),
+    [
+        (
+            "process:\n    initial_level: 2", "process:\n    initial_level: 3",
+            " road: initial level 3 has no dwell parameters", None,
+        ),
+        (
+            "vehicle:\n  initial_level: 2", "vehicle:\n  ? [a, b]\n  : 1\n  initial_level: 2",
+            ": YAML parse failure: while constructing a mapping", "found unhashable key",
+        ),
+    ],
+)
+def test_a_scenario_without_initial_dwell_or_with_an_unhashable_key_is_one_located_error(
+    tmp_path, capsys, old, new, message, detail
+):
+    text = (PKG_DATA / "demo_scenario.yaml").read_text()
+    assert text.count(old) == 1
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(text.replace(old, new))
+    inputs = [*DEMO, "--scenario", str(scenario)]
+    assert main(["validate", *inputs]) == 1
+    out = capsys.readouterr().out
+    assert one_error(out) == f"error: {scenario}{message}"
+    assert detail is None or f"\n{detail}\n" in out
+    assert main(["run", *inputs, "--length", "100", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert one_error(err) == f"error: {scenario}{message}"
+    assert detail is None or f"\n{detail}\n" in err
+
+
+@pytest.mark.parametrize(
     ("flag", "body", "message"),
     [
         ("--elements", "elements: 5\n", ": elements must be a list, got 5"),

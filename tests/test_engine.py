@@ -65,6 +65,15 @@ def test_schedule_rejects_times_before_clock():
     cal.schedule(2.0, EventKind.TRIGGER, "now")
 
 
+def test_run_until_rejects_an_end_before_the_clock():
+    cal, fired, dispatch = make_calendar()
+    cal.schedule(2.0, EventKind.TRIGGER, "x")
+    cal.run_until(3.0, dispatch)
+    with pytest.raises(SimulationError, match=r"run_until\(2.5\) is before current clock t=3.0"):
+        cal.run_until(2.5, dispatch)
+    assert cal.clock == 3.0 and fired == [(2.0, EventKind.TRIGGER.value, "x")]
+
+
 def test_dispatcher_can_schedule_at_current_timestamp():
     cal = EventCalendar()
     seen: list[str] = []

@@ -35,7 +35,7 @@ from hmisim.experiment import (
     run_many,
     run_metrics,
 )
-from hmisim.tasks import Configuration, ConfigurationError, copy_configuration
+from hmisim.tasks import Configuration, ConfigurationError, copy_configuration, load_configuration
 from hmisim.workload import AttentionalChannel
 
 PKG_DATA = Path(str(resources.files("hmisim") / "data"))
@@ -521,6 +521,32 @@ def test_local_search_finds_the_head_up_reallocation(scripted_config, scripted_s
     assert rebuilt.tasks == result.config.tasks
     assert result.final_metrics is not None
     assert objective_point(result.final_metrics) == result.objective
+
+
+def test_a_candidate_that_apply_move_rejects_costs_no_budget(tmp_path, monkeypatch, demo_config, demo_scenario):
+    # Refocusing on far_display takes so long that any task's total time overflows to inf.
+    elements = tmp_path / "elements.yaml"
+    far = "  - {name: far_display, on_road: false, gaze_time: 1.0e308}\n"
+    elements.write_text((PKG_DATA / "demo_elements.yaml").read_text() + far)
+    with_far = load_configuration(PKG_DATA / "demo_tasks.csv", elements)
+    to_far = [m for m in enumerate_moves(with_far, demo_scenario) if getattr(m, "new_location", None) == "far_display"]
+    assert len(to_far) == 6
+    for move in to_far:
+        with pytest.raises(ConfigurationError, match=r"duration \+ 2 \* gaze_time must be finite, got inf"):
+            apply_move(with_far, move)
+
+    tried = []
+
+    def tracking(design, move):
+        tried.append(move)
+        return apply_move(design, move)
+
+    monkeypatch.setattr(experiment, "apply_move", tracking)
+    search = dict(scenario=demo_scenario, seeds=[1, 2], trial_length=600.0, sa_floor=75.0, budget=6)
+    plain = local_search(demo_config, **search)
+    tried_plain, tried[:] = list(tried), []
+    assert local_search(with_far, **search).log == plain.log
+    assert [move for move in tried if move not in tried_plain] == [to_far[0]]  # tried, rejected, not logged
 
 
 def test_local_search_infeasible_start_seeks_awareness(scripted_config, scripted_scenario):

@@ -6,6 +6,7 @@ import io
 import sys
 import textwrap
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -50,28 +51,23 @@ road:
 def test_speed_constant():
     script = SpeedScript(steps=((0.0, 50.0),))
     assert script.initial_value() == 50.0
-    assert script.next_change(0.0) is None
+    assert list(script.changes()) == []
 
 
 def test_speed_steps():
     script = SpeedScript(steps=((0.0, 30.0), (10.0, 50.0), (25.0, 80.0)))
     assert script.initial_value() == 30.0
-    assert script.next_change(0.0) == (10.0, 50.0)
-    assert script.next_change(10.0) == (25.0, 80.0)
-    assert script.next_change(25.0) is None
+    assert list(script.changes()) == [(10.0, 50.0), (25.0, 80.0)]
 
 
 def test_speed_cycle_wraps_values():
     script = SpeedScript(period=120.0, values=(50.0, 70.0, 90.0))
     assert script.initial_value() == 50.0
-    assert script.next_change(0.0) == (120.0, 70.0)
-    assert script.next_change(120.0) == (240.0, 90.0)
-    assert script.next_change(240.0) == (360.0, 50.0)
-    # mid-interval queries round up to the next boundary
-    assert script.next_change(117.0) == (120.0, 70.0)
+    assert list(islice(script.changes(), 4)) == [(120.0, 70.0), (240.0, 90.0), (360.0, 50.0), (480.0, 70.0)]
     # a period with inexact multiples still moves strictly forward (4.3 / 0.1 rounds to 42.99...)
-    tenth = SpeedScript(period=0.1, values=(1.0, 2.0))
-    assert tenth.next_change(43 * 0.1) == (44 * 0.1, 1.0)
+    tenth = list(islice(SpeedScript(period=0.1, values=(1.0, 2.0)).changes(), 44))
+    assert tenth[42:] == [(43 * 0.1, 2.0), (44 * 0.1, 1.0)]
+    assert all(a[0] < b[0] for a, b in zip(tenth, tenth[1:]))
 
 
 def test_speed_steps_from_a_scenario_file_drive_a_trial(tmp_path, scripted_config):
@@ -95,7 +91,7 @@ def test_speed_steps_from_a_scenario_file_drive_a_trial(tmp_path, scripted_confi
 def test_load_minimal_scenario_defaults(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, MINIMAL))
     assert scenario.name == "scenario"
-    assert scenario.road == RoadTimeline(segments=(RoadSegment(0.0, 100.0, 2),), horizon=100.0)
+    assert scenario.road == RoadTimeline(segments=(RoadSegment(0.0, 100.0, 2),))
     assert scenario.speed == SpeedScript(steps=((0.0, 0.0),))  # constant 0
     assert scenario.cognitive_functions == []
     assert scenario.controls == {}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import islice, takewhile
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from hmisim.vehicle import (
 )
 
 
-def timeline(*triples, horizon=None):
-    segments = tuple(RoadSegment(s, e, m) for s, e, m in triples)
-    return RoadTimeline(segments=segments, horizon=horizon or segments[-1].end)
+def timeline(*triples):
+    return RoadTimeline(segments=tuple(RoadSegment(s, e, m) for s, e, m in triples))
 
 
 # ---------------------------------------------------------------------------
@@ -34,20 +34,19 @@ def timeline(*triples, horizon=None):
 
 
 @pytest.mark.parametrize(
-    "triples,horizon",
+    "triples",
     [
-        ((), 10.0),
-        (((0, 5, 2), (6, 10, 3)), 10.0),  # gap
-        (((0, 5, 2), (4, 10, 3)), 10.0),  # overlap
-        (((0, 5, 2),), 10.0),  # short of horizon
-        (((0, 5, 7),), 5.0),  # level out of range
-        (((0, 0, 2),), 0.0),  # empty segment
-        (((1, 5, 2),), 5.0),  # does not start at zero
+        (),
+        ((0, 5, 2), (6, 10, 3)),  # gap
+        ((0, 5, 2), (4, 10, 3)),  # overlap
+        ((0, 5, 7),),  # level out of range
+        ((0, 0, 2),),  # empty segment
+        ((1, 5, 2),),  # does not start at zero
     ],
 )
-def test_timeline_rejects_non_partitions(triples, horizon):
+def test_timeline_rejects_non_partitions(triples):
     with pytest.raises(ValueError):
-        RoadTimeline(segments=tuple(RoadSegment(*t) for t in triples), horizon=horizon)
+        RoadTimeline(segments=tuple(RoadSegment(*t) for t in triples))
 
 
 def test_generate_timeline_is_a_valid_partition():
@@ -56,15 +55,15 @@ def test_generate_timeline_is_a_valid_partition():
         dwell={2: DwellParams(180, 60, 600), 4: DwellParams(300, 90, 900)},
         transitions={2: {4: 1.0}, 4: {2: 1.0}},
     )
-    line = generate_timeline(params, RandomStreams(42).stream("road"), horizon=60_000.0)
-    assert line.horizon == 60_000.0
+    drawn = generate_timeline(params, RandomStreams(42).stream("road"))
+    line = RoadTimeline(tuple(takewhile(lambda seg: seg.start < 60_000.0, drawn)))  # checks the partition
     assert line.segments[0].start == 0.0
-    assert line.segments[-1].end == 60_000.0
+    assert line.segments[-1].end >= 60_000.0
     # strict alternation under these transitions
     levels = [seg.max_level for seg in line.segments]
     assert all(a != b for a, b in zip(levels, levels[1:]))
-    # dwell clamps respected (the last segment may be cut by the horizon)
-    for seg in line.segments[:-1]:
+    # dwell clamps respected, the last segment's too: nothing cuts it
+    for seg in line.segments:
         dwell = params.dwell[seg.max_level]
         width = seg.end - seg.start
         assert dwell.minimum - 1e-9 <= width <= dwell.maximum + 1e-9
@@ -83,27 +82,22 @@ def test_generate_timeline_dwell_means_match_clamped_expectation():
         dwell={4: DwellParams(mean, lo, hi), 2: DwellParams(1.0)},
         transitions={4: {2: 1.0}, 2: {4: 1.0}},
     )
-    stream = RandomStreams(7).stream("road")
-    widths = []
-    while len(widths) < 4000:
-        line = generate_timeline(params, stream, horizon=500_000.0)
-        widths.extend(
-            seg.end - seg.start for seg in line.segments[:-1] if seg.max_level == 4
-        )
+    drawn = generate_timeline(params, RandomStreams(7).stream("road"))
+    widths = [seg.end - seg.start for seg in islice(drawn, 8000) if seg.max_level == 4]
+    assert len(widths) == 4000
     observed = float(np.mean(widths))
     assert abs(observed - expected) / expected < 0.05
 
 
-def test_generate_timeline_absorbing_level_runs_to_horizon():
+def test_generate_timeline_absorbing_level_is_the_last_and_has_no_end():
     params = RoadProcessParams(
         initial_level=2,
         dwell={2: DwellParams(10.0), 0: DwellParams(10.0)},
         transitions={2: {0: 1.0}},  # level 0 has no way out
     )
-    line = generate_timeline(params, RandomStreams(3).stream("road"), horizon=1000.0)
-    assert line.segments[-1].max_level == 0
-    assert line.segments[-1].end == 1000.0
-    assert [seg.max_level for seg in line.segments] == [2, 0]
+    segments = list(generate_timeline(params, RandomStreams(3).stream("road")))
+    assert [seg.max_level for seg in segments] == [2, 0]
+    assert segments[-1].end == math.inf
 
 
 def test_generate_timeline_same_seed_same_result():
@@ -112,15 +106,21 @@ def test_generate_timeline_same_seed_same_result():
         dwell={2: DwellParams(180, 60, 600), 4: DwellParams(300, 90, 900)},
         transitions={2: {4: 1.0}, 4: {2: 1.0}},
     )
-    a = generate_timeline(params, RandomStreams(5).stream("road"), horizon=10_000.0)
-    b = generate_timeline(params, RandomStreams(5).stream("road"), horizon=10_000.0)
+    a = list(islice(generate_timeline(params, RandomStreams(5).stream("road")), 100))
+    b = list(islice(generate_timeline(params, RandomStreams(5).stream("road")), 100))
     assert a == b
 
 
-def test_generate_timeline_rejects_bad_horizon():
-    params = RoadProcessParams(initial_level=0, dwell={0: DwellParams(1.0)}, transitions={})
-    with pytest.raises(ValueError):
-        generate_timeline(params, RandomStreams(1).stream("road"), horizon=0.0)
+def test_generate_timeline_has_no_end_without_an_absorbing_level():
+    params = RoadProcessParams(
+        initial_level=0,
+        dwell={0: DwellParams(1.0), 1: DwellParams(1.0)},
+        transitions={0: {1: 1.0}, 1: {0: 1.0}},
+    )
+    segments = list(islice(generate_timeline(params, RandomStreams(1).stream("road")), 10_000))
+    assert len(segments) == 10_000
+    RoadTimeline(tuple(segments))  # a partition from 0
+    assert segments[-1].end < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def scheduled_tors(line, **leads):
     calendar = EventCalendar()
     schedule_tor(line, calendar, **leads)
     fired = []
-    calendar.run_until(line.horizon, lambda time, kind, payload: fired.append((time, payload)))
+    calendar.run_until(line.segments[-1].end, lambda time, kind, payload: fired.append((time, payload)))
     return fired
 
 
