@@ -18,6 +18,7 @@ lower-priority one that fits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +95,7 @@ class AttentionState:
 
     def __init__(self) -> None:
         self._by_channel: dict[AttentionalChannel, TaskInstance] = {}  # the active instance on each channel
-        self._queue: list[TaskInstance] = []
+        self._queue: list[TaskInstance] = []  # the waiting instances, kept in _queue_key order
         self._recompute()
 
     # -- load arithmetic ----------------------------------------------------
@@ -120,7 +121,7 @@ class AttentionState:
         return sorted(self._by_channel.values(), key=lambda i: i.uid)
 
     def queued_instances(self) -> list[TaskInstance]:
-        return sorted(self._queue, key=self._queue_key)
+        return list(self._queue)
 
     @staticmethod
     def _queue_key(instance: TaskInstance) -> tuple[int, float, int]:
@@ -145,18 +146,13 @@ class AttentionState:
             return Granted()
         if instance.task.initiator is Initiator.MACHINE:
             return Aborted(reason=reason)
-        existing = next(
-            (q for q in self._queue if q.task.name == instance.task.name), None
-        )
-        if existing is not None:
-            return Queued(
-                position=self.queued_instances().index(existing),
-                reason=reason,
-                coalesced=True,
-            )
-        self._queue.append(instance)
+        for position, queued in enumerate(self._queue):
+            if queued.task.name == instance.task.name:
+                return Queued(position=position, reason=reason, coalesced=True)
+        position = bisect.bisect_right(self._queue, self._queue_key(instance), key=self._queue_key)
+        self._queue.insert(position, instance)
         self._recompute()
-        return Queued(position=self.queued_instances().index(instance), reason=reason)
+        return Queued(position=position, reason=reason)
 
     def release(self, instance: TaskInstance, now: float, admit: bool = True) -> list[TaskInstance]:
         """Free an active instance; admit every queued instance that now fits.
@@ -201,6 +197,4 @@ class AttentionState:
 
     def queued_channel_conflict(self) -> bool:
         """True if any queued instance is currently blocked by its channel."""
-        return any(
-            self.first_failing(q.task) is AbortReason.CHANNEL for q in self._queue
-        )
+        return any(q.task.perception_type in self._by_channel for q in self._queue)

@@ -334,9 +334,9 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
     if trials is not None:
         as_integer(trials, "--trials", "trials", issues, at_least=1, at_most=MAX_TRIALS)
     if args.length is not None:
-        as_number(args.length, "--length", "trials", issues, above=0)
+        plan.trial_length = as_number(args.length, "--length", "trials", issues, above=0)
     if args.jobs is not None:
-        as_integer(args.jobs, "--jobs", "trials", issues, at_least=1)
+        plan.jobs = as_integer(args.jobs, "--jobs", "trials", issues, at_least=1)
     if issues:
         raise ConfigurationError(issues)
     if args.seeds_file:
@@ -363,10 +363,6 @@ def _resolve_plan(args: argparse.Namespace) -> tuple[ExperimentPlan, list[Config
             raise ConfigurationError([Violation("error", args.seeds_file or args.plan, message)])
         first_of[key] = seed
     plan.master_seeds, plan.trials_per_config = seeds[:trials], trials
-    if args.length is not None:
-        plan.trial_length = args.length
-    if args.jobs is not None:
-        plan.jobs = args.jobs
     if args.subcommand == "compare":
         return plan, configs, scenario
 

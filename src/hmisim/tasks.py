@@ -148,9 +148,10 @@ class Configuration:
 # reading input files
 
 def read_input(path: Path, kind: str, issues: list[Violation]) -> str | None:
-    """The UTF-8 text of a ``kind`` input file, or None after one located error."""
+    """The UTF-8 text of a ``kind`` input file less a leading byte-order mark (spreadsheet
+    "CSV UTF-8" exports write one), or None after one located error."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except FileNotFoundError:
         message = f"{kind} file not found"
     except OSError as exc:

@@ -7,7 +7,9 @@ that start within its length.  The vehicle state machine keeps the
 active level and the road's current cap, and mirrors them and the
 scripted speed into ground truth; it enforces that drivers may switch up
 only to an available level, that drivers may always switch down, and
-that an availability drop forces the level down to the new cap.
+that an availability drop forces the level down to the new cap.  No
+switch moves the level against its name (a lower ``switch_up`` target is
+a granted no-op, like a higher ``switch_down`` one).
 
 Where automation at the top level is about to become unavailable, two
 take-over requests are scheduled ahead of the boundary: an early one
@@ -212,7 +214,7 @@ class AutomationStateMachine:
                     level=self.level,
                     note=f"switch-up to {target} rejected: max available is {self.current_max}",
                 )
-            return self._set_level(target)
+            return self._set_level(max(target, self.level))  # switching "up" never lowers
         target = target if target is not None else max(self.level - 1, 0)
         return self._set_level(min(target, self.level))  # switching "down" never raises
 

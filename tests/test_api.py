@@ -1,5 +1,5 @@
-"""The public surface: the package exports, every name the benchmark's tracer patches, and the
-documented lists of modules and subcommands."""
+"""The public surface: the package exports, every name the benchmark's tracer patches, the
+documented lists of modules and subcommands, and the README's library example."""
 
 from __future__ import annotations
 
@@ -97,6 +97,22 @@ def test_the_cli_docstring_lists_every_subcommand_once():
     listed = re.findall(r"^    hmisim (\S+)", hmisim.cli.__doc__, re.MULTILINE)
     (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(listed) == sorted(subcommands.choices)
+
+
+def test_the_readme_library_example_runs_as_written(tmp_path, monkeypatch, capsys, demo_config, demo_scenario):
+    section = README.read_text().split("\n## Library use\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    data = Path(hmisim.__file__).parent / "data"
+    for source, copy in [
+        ("demo_tasks.csv", "tasks.csv"),
+        ("demo_elements.yaml", "elements.yaml"),
+        ("demo_scenario.yaml", "scenario.yaml"),
+    ]:
+        (tmp_path / copy).write_bytes((data / source).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, str(README), "exec"), {})
+    metrics = hmisim.run_trial(demo_config, demo_scenario, seed=1, trial_length=60_000.0, trace=False).metrics
+    assert capsys.readouterr().out == f"{metrics.eyes_off_fraction} {metrics.sa_average}\n"
 
 
 @pytest.fixture

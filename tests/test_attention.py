@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmisim.attention import (
     CAPACITY,
@@ -325,3 +328,120 @@ def test_randomized_invariants_hold_under_churn():
         assert state.perceptual_demand == perceptual + math.fsum(i.task.perceptual_workload for i in queued)
         assert state.channel_conflict == any(q.task.perception_type in busy for q in queued)
         live = [i for i in live if i.uid in {a.uid for a in active}]
+
+
+class SortOnReadState(AttentionState):
+    """Reference: the wait queue appended to on request and sorted on every read.
+
+    ``AttentionState`` keeps its queue in admission order as instances join
+    it; this subclass keeps the queue in arrival order and sorts it by
+    priority desc, request time asc, uid asc wherever it is read.
+    """
+
+    def queued_instances(self):
+        return sorted(self._queue, key=lambda i: (-i.task.priority, i.requested_at, i.uid))
+
+    def request(self, instance, now):
+        reason = self.first_failing(instance.task)
+        if reason is None:
+            self._activate(instance, now)
+            return Granted()
+        if instance.task.initiator is Initiator.MACHINE:
+            return Aborted(reason=reason)
+        existing = next((q for q in self._queue if q.task.name == instance.task.name), None)
+        if existing is not None:
+            return Queued(
+                position=self.queued_instances().index(existing), reason=reason, coalesced=True
+            )
+        self._queue.append(instance)
+        self._recompute()
+        return Queued(position=self.queued_instances().index(instance), reason=reason)
+
+    def release(self, instance, now, admit=True):
+        if self._by_channel.get(instance.task.perception_type) is not instance:
+            raise InconsistentStateError("not active")
+        del self._by_channel[instance.task.perception_type]
+        self._recompute()
+        if not admit:
+            return []
+        admitted = []
+        for candidate in self.queued_instances():
+            if self.first_failing(candidate.task) is None:
+                self._queue.remove(candidate)
+                self._activate(candidate, now)
+                admitted.append(candidate)
+        return admitted
+
+    def queued_channel_conflict(self):
+        return any(self.first_failing(q.task) is AbortReason.CHANNEL for q in self._queue)
+
+
+#: Tenths hit the caps exactly (4.6 + 5.4); arbitrary floats exercise ``fsum``.
+_WORKLOADS = st.one_of(st.integers(0, 60).map(lambda k: k / 10), st.floats(0.0, 6.0))
+_CATALOG = st.lists(
+    st.builds(
+        make_task,
+        channel=st.sampled_from(list(AttentionalChannel)),
+        cognitive=_WORKLOADS,
+        perceptual=_WORKLOADS,
+        priority=st.integers(1, 3),  # few priorities, so ties are common
+        initiator=st.sampled_from(list(Initiator)),
+    ),
+    min_size=1,
+    max_size=6,  # few names, so re-requests of a queued name are common
+)
+_STEPS = st.lists(
+    st.one_of(
+        # (request, catalog index, clock advance): advances of 0 give equal request times
+        st.tuples(st.just("request"), st.integers(0, 5), st.sampled_from([0.0, 0.0, 0.25])),
+        # (release, index among the active instances, admit)
+        st.tuples(st.just("release"), st.integers(0, 6), st.booleans()),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _observed(state):
+    return (
+        [i.uid for i in state.queued_instances()],
+        [(i.uid, i.started_at) for i in state.active_instances()],
+        [
+            value.hex()
+            for value in (
+                state.cognitive_sum,
+                state.perceptual_sum,
+                state.cognitive_demand,
+                state.perceptual_demand,
+            )
+        ],
+        state.channel_conflict,
+        state.queued_channel_conflict(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog=_CATALOG, steps=_STEPS, data=st.data())
+def test_queue_kept_in_order_matches_sort_on_read(catalog, steps, data):
+    tasks = [
+        dataclasses.replace(task, name=f"t{k}") for k, task in enumerate(catalog)
+    ]
+    # uids in a drawn order, so among equal priorities and times the uid decides
+    uids = data.draw(st.permutations(range(len(steps))))
+    state, reference = AttentionState(), SortOnReadState()
+    clock = 0.0
+    for uid, (kind, pick, arg) in zip(uids, steps):
+        if kind == "request":
+            clock += arg
+            task = tasks[pick % len(tasks)]
+            outcome = state.request(TaskInstance(task, uid, clock), now=clock)
+            expected = reference.request(TaskInstance(task, uid, clock), now=clock)
+            assert outcome == expected
+        else:
+            active, reference_active = state.active_instances(), reference.active_instances()
+            if not active:
+                continue
+            admitted = state.release(active[pick % len(active)], clock, admit=arg)
+            expected = reference.release(reference_active[pick % len(active)], clock, admit=arg)
+            assert [i.uid for i in admitted] == [i.uid for i in expected]
+        assert _observed(state) == _observed(reference)

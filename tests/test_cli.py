@@ -461,6 +461,28 @@ def test_unreadable_input_is_one_located_error(tmp_path, capsys, how, flag, kind
     assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, f"{path}: {kind} {message}")
 
 
+def test_a_leading_byte_order_mark_is_dropped_from_every_input(tmp_path, capsys, hud_variant):
+    """Spreadsheet "CSV UTF-8" exports begin with a byte-order mark (BOM)."""
+    sources = [PKG_DATA / "demo_tasks.csv", PKG_DATA / "demo_elements.yaml", hud_variant]
+    for side, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        folder = tmp_path / side
+        folder.mkdir()
+        for source in sources:
+            (folder / source.name).write_bytes(prefix + source.read_bytes())
+        (folder / "seeds.txt").write_bytes(prefix + b"7\n9\n")
+        inputs = ["--tasks", str(folder / "demo_tasks.csv"), "--elements", str(folder / "demo_elements.yaml")]
+        assert main(["validate", *inputs]) == 0
+        assert "OK: 12 task(s), 7 element(s)" in capsys.readouterr().out
+        run = [*inputs, "--scenario", str(PKG_DATA / "demo_scenario.yaml"), "--length", "600"]
+        assert main(["run", *run, "--out", str(folder / "run")]) == 0
+        compare = [*SCRIPTED, "--tasks-b", str(folder / hud_variant.name), *SCRIPTED_SCENARIO]
+        compare += ["--seeds-file", str(folder / "seeds.txt"), "--length", "100"]
+        assert main(["compare", *compare, "--out", str(folder / "compare")]) == 0
+        capsys.readouterr()
+    for output in ("run/metrics.csv", "run/trace.jsonl", "run/task_counts.csv", "compare/paired.csv"):
+        assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # run / export-trace
 

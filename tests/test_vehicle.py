@@ -216,6 +216,15 @@ def test_switch_up_beyond_cap_rejected_without_level_change():
     assert truth[PARAM_LEVEL] == 1
 
 
+def test_switch_up_is_always_granted_below_the_cap_and_never_lowers_level():
+    machine, truth = make_machine(initial_level=4)
+    result = machine.transition("switch_up", 1)
+    assert result.granted and not result.level_changed
+    assert (result.previous_level, result.level) == (4, 4)  # an "up" switch cannot go down
+    assert machine.level == 4 and truth[PARAM_LEVEL] == 4
+    assert result.emitted == []
+
+
 def test_switch_down_defaults_to_one_below():
     machine, _ = make_machine(initial_level=4)
     result = machine.transition("switch_down", None)
