@@ -193,6 +193,8 @@ def _parse_road(
             weight = as_number(weight, f"transition weight {level}->{target}", where, issues, above=0)
             if weight is not None:
                 out[target] = weight
+        if not math.isfinite(sum(weight for _, weight in sorted(out.items()))):  # summed as the draw sums them
+            issues.append(Violation("error", where, f"transition weights from level {level} must have a finite sum"))
         transitions[level] = out
     initial_level = _parse_level(proc.get("initial_level"), f"{where} process", issues)
     if initial_level is None:

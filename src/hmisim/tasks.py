@@ -4,17 +4,19 @@ A cockpit design ("configuration") is a list of interaction tasks, the
 catalog of interface elements they live on, and the workload scale used
 to resolve descriptor strings into demand values.
 
-Task files are CSV with one task per row and this exact header::
+Task files are CSV with one task per row under this header, whose names
+may come in any order and have blanks around them, but none twice::
 
     Name, Description, Location, CognitiveDescriptor, PerceptualDescriptor,
     PerceptionType, PerceptualWorkload, CognitiveWorkload, Duration,
     GazeTime, CognitiveFunctionTrigger, AwarenessParameter, Triggers,
     Priority, Initiator
 
-Empty cells are absent optionals.  Numeric workload cells override the
-scale (with a warning when the two disagree); otherwise the workload is
-filled from the descriptor.  Validation reports every violation, not
-just the first.
+Empty cells are absent optionals, and a row's errors are located at
+``row N``, the file line on which the row ends.  Numeric workload cells
+override the scale (with a warning when the two disagree); otherwise the
+workload is filled from the descriptor.  Validation reports every
+violation, not just the first.
 """
 
 from __future__ import annotations
@@ -452,21 +454,27 @@ def _load_scale(path: Path, issues: list[Violation]) -> WorkloadScale:
 # task CSV
 
 def _parse_task_row(
-    row: dict[str, str],
+    header: list[str],
+    cells: list[str],
     where: str,
     elements: dict[str, InterfaceElement],
     scale: WorkloadScale,
     errors: list[Violation],
     warnings: list[Violation],
 ) -> Task | None:
+    row = dict(zip(header, cells))  # a short row's missing cells are empty
+
     def cell(column: str) -> str:
-        return (row.get(column) or "").strip()
+        return row.get(column, "").strip()
 
     name = cell("Name")
     if not name:
         errors.append(Violation("error", where, "Name is required"))
         return None
     where = f"{where} ({name})"
+    extra = [value for value in cells[len(header):] if value.strip()]
+    if extra:
+        errors.append(Violation("error", where, f"cells past the header's last column: {extra}"))
 
     channel = _normalize_channel(cell("PerceptionType"))
     if channel is None:
@@ -599,17 +607,22 @@ def load_configuration(
     tasks: list[Task] = []
     task_path = Path(task_file)
     text = read_input(task_path, "task", errors) or ""  # unreadable: reported, zero tasks
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames or []  # an empty file is a valid zero-task catalog
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # Column names follow the name rule; an empty file is a valid zero-task catalog.
+    header = [column.strip() for column in next(reader, [])]
     missing = [c for c in TASK_COLUMNS if c not in header] if header else []
     for column in missing:
         errors.append(Violation("error", str(task_path), f"missing column {column!r}"))
+    repeated = [c for c in dict.fromkeys(header) if c and header.count(c) > 1]
+    for column in repeated:
+        errors.append(Violation("error", str(task_path), f"column {column!r} given twice"))
     for column in header:
         if column not in TASK_COLUMNS and column not in DERIVED_COLUMNS:
             warnings.append(Violation("warning", str(task_path), f"ignoring unknown column {column!r}"))
-    if not missing:
-        for line, row in enumerate(reader, start=2):
-            task = _parse_task_row(row, f"{task_path} row {line}", elements or {}, scale, errors, warnings)
+    if not missing and not repeated:
+        for cells in filter(None, reader):  # csv reads a blank line as no cells
+            where = f"{task_path} row {reader.line_num}"  # the line the row ends on
+            task = _parse_task_row(header, cells, where, elements or {}, scale, errors, warnings)
             if task is not None:
                 tasks.append(task)
     if elements is None:

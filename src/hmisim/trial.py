@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import chain, count, pairwise, takewhile
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -134,16 +134,13 @@ class _Trial:
         else:
             segments = generate_timeline(road, streams.stream(ROAD_STREAM))
         # The trial keeps the segments that start within its length, the last one whole.
-        timeline = RoadTimeline(tuple(takewhile(lambda segment: segment.start < trial_length, segments)))
-
-        self.truth: dict[str, Any] = {}
+        kept = takewhile(lambda segment: segment.start < trial_length, segments)
+        first = next(kept)  # it starts at 0, within any length
+        vehicle = scenario.vehicle
         self.machine = AutomationStateMachine(
-            timeline=timeline,
-            initial_level=scenario.vehicle.initial_level,
-            bindings=scenario.bindings,
-            truth=self.truth,
-            initial_speed=scenario.speed.initial_value(),
+            first.max_level, vehicle.initial_level, scenario.bindings, scenario.speed.initial_value()
         )
+        self.truth = self.machine.truth
         self.beliefs = {
             name: driver_mod.discretize(
                 param.initial if param.initial is not None else self.truth[name], param.resolution
@@ -157,17 +154,12 @@ class _Trial:
         )
         self._update_awareness()
 
-        # Everything time-driven is scheduled before the clock starts:
-        # road boundaries, take-over requests, the speed script chain, and
-        # the first firing of every cognitive function.
-        for segment in timeline.segments[1:]:
-            self.calendar.schedule(segment.start, EventKind.ROAD_CHANGE, segment)
-        schedule_tor(
-            timeline,
-            self.calendar,
-            scenario.vehicle.tor_lead_seconds,
-            scenario.vehicle.tor_final_seconds,
-        )
+        # Everything time-driven is scheduled before the clock starts: each
+        # road boundary and then its take-over requests, the speed script
+        # chain, and the first firing of every cognitive function.
+        for segment, following in pairwise(chain([first], kept)):
+            self.calendar.schedule(following.start, EventKind.ROAD_CHANGE, following)
+            schedule_tor(segment, following, self.calendar, vehicle.tor_lead_seconds, vehicle.tor_final_seconds)
         self._speed_changes = scenario.speed.changes()
         self._schedule_speed_change()
         for function in scenario.cognitive_functions:

@@ -54,7 +54,7 @@ class RoadSegment:
 
 @dataclass(frozen=True)
 class RoadTimeline:
-    """Segments that partition the road from t = 0 to the last segment's end."""
+    """A scenario's fixed road: segments that partition it from t = 0 to the last one's end."""
 
     segments: tuple[RoadSegment, ...]
 
@@ -131,24 +131,25 @@ class TorPayload:
 
 
 def schedule_tor(
-    timeline: RoadTimeline,
+    segment: RoadSegment,
+    following: RoadSegment,
     calendar: EventCalendar,
     lead_seconds: float = 60.0,
     final_seconds: float = 10.0,
 ) -> None:
-    """Schedule early/final take-over requests before each drop out of AD.
+    """Schedule the early and final take-over requests before ``segment`` ends
+    if automation drops there out of AD into ``following``.
 
-    Request times are boundary minus lead, clamped to the AD segment start.
+    Request times are the boundary minus the lead, clamped to the segment start.
     """
-    for seg, nxt in zip(timeline.segments, timeline.segments[1:]):
-        if seg.max_level == TOP_LEVEL and nxt.max_level < TOP_LEVEL:
-            boundary = seg.end
-            for phase, lead in ((TorPhase.EARLY, lead_seconds), (TorPhase.FINAL, final_seconds)):
-                calendar.schedule(
-                    max(boundary - lead, seg.start),
-                    EventKind.TOR,
-                    TorPayload(phase=phase, boundary=boundary, segment_start=seg.start),
-                )
+    if segment.max_level == TOP_LEVEL and following.max_level < TOP_LEVEL:
+        boundary = segment.end
+        for phase, lead in ((TorPhase.EARLY, lead_seconds), (TorPhase.FINAL, final_seconds)):
+            calendar.schedule(
+                max(boundary - lead, segment.start),
+                EventKind.TOR,
+                TorPayload(phase=phase, boundary=boundary, segment_start=segment.start),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +180,22 @@ _TOR_EVENTS = {TorPhase.EARLY: "tor60", TorPhase.FINAL: "tor10"}
 
 
 class AutomationStateMachine:
-    """Holds the automation ``level`` and the road's ``current_max``, mirrors
-    them into the ground-truth dict, and resolves which machine tasks each
-    state change emits."""
+    """Holds the automation ``level`` and the road's ``current_max`` (from the
+    first segment's cap ``road_max``), mirrors them into its ground-truth dict
+    ``truth``, and resolves which machine tasks each state change emits."""
 
     def __init__(
-        self,
-        timeline: RoadTimeline,
-        initial_level: int,
-        bindings: EventBindings,
-        truth: dict[str, Any],
-        initial_speed: float = 0.0,
+        self, road_max: int, initial_level: int, bindings: EventBindings, initial_speed: float = 0.0
     ) -> None:
         self.bindings = bindings
-        self.truth = truth
-        first_max = timeline.segments[0].max_level
-        self.level = min(initial_level, first_max)
-        self.current_max = first_max
-        truth[PARAM_SPEED] = initial_speed
-        truth[PARAM_LEVEL] = self.level
-        truth[PARAM_AD_AVAILABLE] = first_max == TOP_LEVEL
-        truth[PARAM_ROAD_MAX] = first_max
+        self.level = min(initial_level, road_max)
+        self.current_max = road_max
+        self.truth: dict[str, Any] = {
+            PARAM_SPEED: initial_speed,
+            PARAM_LEVEL: self.level,
+            PARAM_AD_AVAILABLE: road_max == TOP_LEVEL,
+            PARAM_ROAD_MAX: road_max,
+        }
 
     # -- state changes -------------------------------------------------------
 

@@ -93,6 +93,19 @@ def test_the_readme_module_map_names_every_module_once():
     assert sorted(mapped) == sorted(modules)
 
 
+def test_the_documented_task_catalog_header_is_the_one_the_loader_reads(tmp_path):
+    readme = README.read_text().split("\n**Task catalog (CSV)**", 1)[1].split("`", 2)[1]
+    docstring = hmisim.tasks.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    for listed in (readme, docstring):
+        assert [name.strip() for name in listed.split(",")] == hmisim.tasks.TASK_COLUMNS
+    header = tmp_path / "tasks.csv"
+    header.write_text(" ".join(docstring.split()) + "\n")  # its lines joined into one
+    elements = tmp_path / "elements.yaml"
+    elements.write_text("elements: []\n")
+    config = hmisim.load_configuration(header, elements)
+    assert (config.tasks, config.warnings) == ([], [])
+
+
 def test_the_cli_docstring_lists_every_subcommand_once():
     listed = re.findall(r"^    hmisim (\S+)", hmisim.cli.__doc__, re.MULTILINE)
     (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -17,7 +17,7 @@ from hmisim.experiment import ReallocateLocation, apply_move
 from hmisim.metrics import read_trace, write_trace
 from hmisim.replay import check_safety_rules, replay_metrics
 from hmisim.scenario import load_scenario
-from hmisim.tasks import load_configuration, write_tasks_csv
+from hmisim.tasks import TASK_COLUMNS, load_configuration, write_tasks_csv
 from hmisim.trial import run_trial
 
 DATA = Path(__file__).parent / "data"
@@ -481,6 +481,57 @@ def test_a_leading_byte_order_mark_is_dropped_from_every_input(tmp_path, capsys,
         capsys.readouterr()
     for output in ("run/metrics.csv", "run/trace.jsonl", "run/task_counts.csv", "compare/paired.csv"):
         assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
+
+
+DEMO_TASK_LINES = (PKG_DATA / "demo_tasks.csv").read_text().splitlines(keepends=True)
+
+
+def demo_catalog(tmp_path, lines):
+    """The inputs of ``validate`` and ``run`` with the demo catalog written as ``lines``."""
+    path = tmp_path / "tasks.csv"
+    path.write_text("".join(lines))
+    elements, scenario = PKG_DATA / "demo_elements.yaml", PKG_DATA / "demo_scenario.yaml"
+    return path, ["--tasks", str(path), "--elements", str(elements), "--scenario", str(scenario)]
+
+
+def test_task_header_names_may_have_blanks_around_them(tmp_path, capsys):
+    """The header as the tasks module and README print it, with a blank after each comma."""
+    for side, header in (("plain", DEMO_TASK_LINES[0]), ("spaced", " " + ", ".join(TASK_COLUMNS) + " \n")):
+        folder = tmp_path / side
+        folder.mkdir()
+        _, inputs = demo_catalog(folder, [header, *DEMO_TASK_LINES[1:]])
+        assert main(["validate", *inputs]) == 0
+        assert "OK: 12 task(s), 7 element(s)" in capsys.readouterr().out
+        assert main(["run", *inputs, "--length", "600", "--out", str(folder / "run")]) == 0
+        capsys.readouterr()
+    for output in ("metrics.csv", "trace.jsonl", "task_counts.csv"):
+        assert (tmp_path / "spaced" / "run" / output).read_bytes() == (tmp_path / "plain" / "run" / output).read_bytes()
+
+
+@pytest.mark.parametrize("again", ["Duration", " Duration "])
+def test_a_task_column_given_twice_is_one_located_error(tmp_path, capsys, again):
+    header = DEMO_TASK_LINES[0].rstrip("\n") + f",{again}\n"
+    path, inputs = demo_catalog(tmp_path, [header, *(line.rstrip("\n") + ",99\n" for line in DEMO_TASK_LINES[1:])])
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, f"{path}: column 'Duration' given twice")
+
+
+def test_a_task_row_is_located_by_its_line_in_the_file(tmp_path, capsys):
+    assert DEMO_TASK_LINES[2].count(",0.8,") == 1  # check_mode's Duration
+    bad = DEMO_TASK_LINES[2].replace(",0.8,", ",-1,")
+    path, inputs = demo_catalog(tmp_path, [DEMO_TASK_LINES[0], "\n", DEMO_TASK_LINES[1], bad, *DEMO_TASK_LINES[3:]])
+    message = f"{path} row 4 (check_mode): Duration must be > 0 and finite, got '-1'"
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
+
+
+def test_a_task_row_with_cells_past_the_header_is_one_located_error(tmp_path, capsys):
+    blank = DEMO_TASK_LINES[2].rstrip("\n") + ",, \n"  # blank cells past the header are no cells
+    _, inputs = demo_catalog(tmp_path, [*DEMO_TASK_LINES[:2], blank, *DEMO_TASK_LINES[3:]])
+    assert main(["validate", *inputs]) == 0
+    assert "OK: 12 task(s), 7 element(s)" in capsys.readouterr().out
+    extra = DEMO_TASK_LINES[2].rstrip("\n") + ",,x,\n"
+    path, inputs = demo_catalog(tmp_path, [*DEMO_TASK_LINES[:2], extra, *DEMO_TASK_LINES[3:]])
+    message = f"{path} row 3 (check_mode): cells past the header's last column: ['x']"
+    assert_one_error_from_validate_and_run(inputs, tmp_path / "out", capsys, message)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,7 @@ def test_missing_file_raises(tmp_path):
         ("road: {}\n", "'process' or 'fixed_segments'"),
         ("road:\n  fixed_segments: []\n", "fixed_segments is empty"),
         ("road:\n  fixed_segments:\n    - [0, 50, 2]\n    - [60, 100, 3]\n", "partition"),
+        ("road:\n  fixed_segments:\n    - [0, 100]\n", "road: fixed_segments[0] must be [start, end, max_level]"),
         (
             "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: -5}\n"
             "    transitions:\n      2: {4: 1}\n",
@@ -207,6 +208,11 @@ def test_missing_file_raises(tmp_path):
             "road:\n  process:\n    initial_level: 2\n    dwell:\n      2: {mean: 10}\n"
             "    transitions:\n      2: {2: 1}\n",
             "self-transition",
+        ),
+        (
+            "road:\n  process:\n    initial_level: 4\n    dwell:\n      0: {mean: 10}\n      2: {mean: 10}\n"
+            "      4: {mean: 10}\n    transitions:\n      4: {2: 1.0e+308, 0: 1.0e+308}\n",
+            "road: transition weights from level 4 must have a finite sum",
         ),
         (MINIMAL + "speed:\n  steps:\n    - [5, 50]\n", "must start at time 0"),
         (MINIMAL + "speed:\n  steps:\n    - [0, 50]\n    - 7\n", "speed: steps[1] must be [time, value]"),

@@ -444,6 +444,26 @@ def test_fixed_timeline_longer_than_trial_is_clipped(scripted_config, scripted_s
     assert result.records[-1].time == 50.0
 
 
+def test_a_road_change_fires_before_the_take_over_request_it_shares_a_time_with(tmp_path, scripted_config):
+    # TOR60 is clamped to the start of the level-4 segment (50 s); TOR10 has no lead, so it falls on the drop (70 s).
+    raw = yaml.safe_load((Path(__file__).parent / "data" / "scripted_scenario.yaml").read_text())
+    raw["road"] = {"fixed_segments": [[0, 50, 2], [50, 70, 4], [70, 100, 2]]}
+    raw["vehicle"] = {"initial_level": 2, "tor_lead_seconds": 60, "tor_final_seconds": 0}
+    path = tmp_path / "ties.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    records = run_trial(scripted_config, load_scenario(path), seed=1, trial_length=100.0).records
+
+    def road_and_tor_at(time):
+        return [
+            (r.kind, r.payload.get("phase"))
+            for r in records
+            if r.time == time and (r.kind == "road-change" or r.payload.get("change") == "tor")
+        ]
+
+    assert road_and_tor_at(50.0) == [("road-change", None), ("vehicle-transition", "TOR60")]
+    assert road_and_tor_at(70.0) == [("road-change", None), ("vehicle-transition", "TOR10")]
+
+
 # ---------------------------------------------------------------------------
 # the world before L does not depend on L
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from itertools import islice, takewhile
+from itertools import islice, pairwise, takewhile
 
 import numpy as np
 import pytest
@@ -128,9 +128,10 @@ def test_generate_timeline_has_no_end_without_an_absorbing_level():
 
 
 def scheduled_tors(line, **leads):
-    """The (time, payload) of each request ``schedule_tor`` puts on a calendar, in firing order."""
+    """The (time, payload) of each request ``schedule_tor`` puts on a calendar at ``line``'s boundaries, in firing order."""
     calendar = EventCalendar()
-    schedule_tor(line, calendar, **leads)
+    for segment, following in pairwise(line.segments):
+        schedule_tor(segment, following, calendar, **leads)
     fired = []
     calendar.run_until(line.segments[-1].end, lambda time, kind, payload: fired.append((time, payload)))
     return fired
@@ -172,19 +173,13 @@ def test_tor_for_each_distinct_ad_exit():
 # automation state machine
 
 
-def make_machine(line=None, initial_level=4, bindings=None):
-    truth = {}
-    machine = AutomationStateMachine(
-        timeline=line or timeline((0, 200, 4), (200, 300, 2)),
-        initial_level=initial_level,
-        bindings=bindings or {},
-        truth=truth,
-    )
-    return machine, truth
+def make_machine(road_max=4, initial_level=4, bindings=None):
+    machine = AutomationStateMachine(road_max=road_max, initial_level=initial_level, bindings=bindings or {})
+    return machine, machine.truth
 
 
 def test_initial_level_clamped_to_first_segment_cap():
-    machine, truth = make_machine(line=timeline((0, 100, 2), (100, 200, 4)), initial_level=4)
+    machine, truth = make_machine(road_max=2, initial_level=4)
     assert machine.level == 2
     assert truth[PARAM_LEVEL] == 2
     assert truth[PARAM_AD_AVAILABLE] is False
@@ -208,7 +203,7 @@ def test_switch_up_defaults_to_current_max():
 
 
 def test_switch_up_beyond_cap_rejected_without_level_change():
-    machine, truth = make_machine(line=timeline((0, 100, 2)), initial_level=1)
+    machine, truth = make_machine(road_max=2, initial_level=1)
     result = machine.transition("switch_up", 4)
     assert not result.granted and not result.level_changed
     assert machine.level == 1
@@ -282,7 +277,7 @@ def test_availability_drop_below_current_level_only_notifies():
 
 def test_availability_rise_emits_in_ascending_cap_order():
     bindings = {("availability_rise", 4): ["ad_on_a", "ad_on_b"], ("availability_rise", 3): ["l3_on"]}
-    machine, truth = make_machine(line=timeline((0, 100, 2), (100, 200, 4)), initial_level=2)
+    machine, truth = make_machine(road_max=2, initial_level=2)
     machine.bindings = bindings
     result = machine.on_boundary(RoadSegment(100, 200, 4))
     assert result.emitted == ["l3_on", "ad_on_a", "ad_on_b"]
@@ -292,7 +287,7 @@ def test_availability_rise_emits_in_ascending_cap_order():
 
 def test_rise_skips_caps_not_newly_crossed():
     bindings = {("availability_rise", 3): ["l3_on"], ("availability_rise", 4): ["ad_on"]}
-    machine, _ = make_machine(line=timeline((0, 100, 3), (100, 200, 4)), initial_level=2)
+    machine, _ = make_machine(road_max=3, initial_level=2)
     machine.bindings = bindings
     result = machine.on_boundary(RoadSegment(100, 200, 4))
     assert result.emitted == ["ad_on"]  # 3 was already available
