@@ -23,13 +23,14 @@ and for ``hmisim run`` the trace file itself, one :func:`trace_line` each.
 
 from __future__ import annotations
 
+import gc
 import json
+import re
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from statistics import median_low  # for an even count, the lower middle; re-exported as hmisim.median_low
-from sys import intern
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason, AttentionState
 from .tasks import replacing, write_csv
@@ -57,8 +58,11 @@ _encode = (
     if c_make_encoder is not None
     else lambda value, _level: (_TRACE_ENCODER.encode(value),)
 )
-#: Decodes one JSON value from the start of a string; returns it and where it ends.
-_TRACE_DECODE = json.JSONDecoder().raw_decode
+_TRACE_DECODER = json.JSONDecoder()
+#: About how many characters of lines :func:`iter_trace` decodes in one call.
+_TRACE_CHUNK_HINT = 256 * 1024
+#: A comma between two objects with no line break around it: two records on one line.
+_TWO_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 
 
 @dataclass
@@ -253,6 +257,22 @@ def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
+    """Every record of a trace, as :func:`iter_trace` yields them.
+
+    The records hold no reference cycles, so the cyclic garbage collector
+    is paused while they are read: each of its passes would traverse the
+    records read so far and free none of them.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(iter_trace(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def iter_trace(path: str | Path) -> Iterator[TraceRecord]:
     """Parse a trace, one record per line, skipping blank lines.
 
     A line with a missing or unknown key, or whose payload is not a JSON
@@ -261,17 +281,47 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
     line raises.
     """
     with open(path, encoding="utf-8") as handle:
-        return [_trace_record(line) for line in handle if not line.isspace()]
+        while chunk := handle.readlines(_TRACE_CHUNK_HINT):
+            lines = [line for line in chunk if not line.isspace()]
+            rows = _one_record_per_line(lines)
+            if rows is None:
+                yield from map(_trace_record, lines)  # the first bad line raises what it raises alone
+            else:
+                del chunk, lines  # the records hold what they need of the text
+                yield from map(_trace_row, rows)
+
+
+def _one_record_per_line(lines: list[str]) -> list[Any] | None:
+    """The values of ``lines`` from one decode call, one per line, or None when they cannot
+    be shown to be one object per line.
+
+    One call shares each key string across the chunk.  It is trusted when it gives as many
+    objects as lines and no comma sits between two objects with no line break around it.
+    Proof: n values need n - 1 top-level commas.  Each line but the file's last ends with
+    its line break, so a top-level comma inside a line would be such a comma, and each
+    joining comma, which follows a line break, is not.  So the n - 1 joining commas are the
+    top-level ones, and each line holds exactly one value.
+    """
+    text = "[" + ",".join(lines) + "]"
+    try:
+        rows = _TRACE_DECODER.decode(text)
+    except (ValueError, RecursionError):
+        return None
+    if len(rows) != len(lines) or not all(type(row) is dict for row in rows) or _TWO_OBJECTS.search(text):
+        return None
+    return rows
 
 
 def _trace_record(line: str) -> TraceRecord:
     text = line.strip(" \t\n\r")  # the JSON whitespace around a value
-    row, end = _TRACE_DECODE(text)
+    row, end = _TRACE_DECODER.raw_decode(text)  # one JSON value from the start, and where it ends
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
+    return _trace_row(row)
+
+
+def _trace_row(row: Any) -> TraceRecord:
     if type(row) is dict and tuple(row) == _TRACE_FIELDS and type(row["payload"]) is dict:
-        # Each decode makes its own key strings: share one per name, or a demo trace holds ~10 MB more.
-        row["payload"] = {intern(k): v for k, v in row["payload"].items()}
         return TraceRecord(*row.values())
     record = TraceRecord(**row)  # a missing or unknown key raises TypeError
     if type(record.payload) is not dict:

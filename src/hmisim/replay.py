@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 from .attention import CAP_TOLERANCE, CAPACITY, AbortReason
 from .metrics import TraceRecord
@@ -37,7 +38,7 @@ class ReplayReport:
         return not self.violations
 
 
-def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedMetrics:
+def replay_metrics(records: Iterable[TraceRecord], trial_length: float) -> ReplayedMetrics:
     """Second, trace-only computation of the four indicators, in one pass.
 
     The demand (active plus queued workload, and whether a queued task
@@ -49,13 +50,20 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
     # each instance maps to its own task-start or task-queued payload, never modified
     active: dict[int, dict[str, Any]] = {}
     queued: dict[int, dict[str, Any]] = {}
+    # and to its workloads; a demand is the fsum of a dict's values, whatever their order
+    active_cognitive: dict[int, float] = {}
+    active_perceptual: dict[int, float] = {}
+    queued_cognitive: dict[int, float] = {}
+    queued_perceptual: dict[int, float] = {}
     aborts: list[tuple[AbortReason, float]] = []
     eyes_off = cognitive = perceptual = sa_integral = 0.0
     last_time = 0.0
-    last_awareness = records[0].awareness if records else 1.0
+    records = iter(records)
+    first = next(records, None)
+    last_awareness = 1.0 if first is None else first.awareness
     # overload of the demand holding since the previous record (none before the first)
     cognitive_over = perceptual_over = False
-    for record in records:
+    for record in records if first is None else chain((first,), records):
         now = record.time
         sa_integral += last_awareness * (now - last_time)
         if cognitive_over or perceptual_over:
@@ -70,28 +78,37 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
         payload = record.payload
         if kind == "task-start":
             uid = payload["instance"]
-            queued.pop(uid, None)
+            if queued.pop(uid, None) is not None:
+                del queued_cognitive[uid], queued_perceptual[uid]
             active[uid] = payload
+            active_cognitive[uid] = payload["cognitive"]
+            active_perceptual[uid] = payload["perceptual"]
         elif kind == "task-queued" and not payload["coalesced"]:
-            queued[payload["instance"]] = payload
+            uid = payload["instance"]
+            queued[uid] = payload
+            queued_cognitive[uid] = payload["cognitive"]
+            queued_perceptual[uid] = payload["perceptual"]
         elif kind == "task-end":
-            entry = active.pop(payload["instance"], None)
-            if entry is not None and payload["completed"] and entry["channel"] == "visual" and not entry["on_road"]:
+            uid = payload["instance"]
+            entry = active.pop(uid, None)
+            if entry is None:
+                continue  # nothing was active under this instance: the demand holds
+            del active_cognitive[uid], active_perceptual[uid]
+            if payload["completed"] and entry["channel"] == "visual" and not entry["on_road"]:
                 eyes_off += entry["total_time"]  # a completed glance away from the road
         else:
             if kind == "task-abort":
                 aborts.append((AbortReason(payload["reason"]), payload["total_time"]))
             continue
-        busy = {t["channel"] for t in active.values()}
         cognitive_over = (
-            math.fsum(t["cognitive"] for t in active.values()) + math.fsum(t["cognitive"] for t in queued.values())
-            > CAPACITY + CAP_TOLERANCE
+            math.fsum(active_cognitive.values()) + math.fsum(queued_cognitive.values()) > CAPACITY + CAP_TOLERANCE
         )
         perceptual_over = (
-            math.fsum(t["perceptual"] for t in active.values()) + math.fsum(t["perceptual"] for t in queued.values())
-            > CAPACITY + CAP_TOLERANCE
-            or any(w["channel"] in busy for w in queued.values())
+            math.fsum(active_perceptual.values()) + math.fsum(queued_perceptual.values()) > CAPACITY + CAP_TOLERANCE
         )
+        if queued and not perceptual_over:
+            busy = {t["channel"] for t in active.values()}
+            perceptual_over = any(w["channel"] in busy for w in queued.values())
     if cognitive_over or perceptual_over:
         dt = max(trial_length - last_time, 0.0)
         if cognitive_over:
@@ -112,7 +129,7 @@ def replay_metrics(records: list[TraceRecord], trial_length: float) -> ReplayedM
     )
 
 
-def check_safety_rules(records: list[TraceRecord]) -> ReplayReport:
+def check_safety_rules(records: Iterable[TraceRecord]) -> ReplayReport:
     """Audit the hard admission rules over a trace."""
     report = ReplayReport()
     active: dict[int, dict[str, Any]] = {}
@@ -168,7 +185,7 @@ def check_safety_rules(records: list[TraceRecord]) -> ReplayReport:
 
 
 def check_tor_lead_times(
-    records: list[TraceRecord],
+    records: Iterable[TraceRecord],
     lead_seconds: float = 60.0,
     final_seconds: float = 10.0,
     tolerance: float = 1e-9,

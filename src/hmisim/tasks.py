@@ -608,8 +608,9 @@ def load_configuration(
     task_path = Path(task_file)
     text = read_input(task_path, "task", errors) or ""  # unreadable: reported, zero tasks
     reader = csv.reader(io.StringIO(text, newline=""))
-    # Column names follow the name rule; an empty file is a valid zero-task catalog.
-    header = [column.strip() for column in next(reader, [])]
+    # The header is the first line that is not empty (csv reads an empty line as no cells).
+    # Column names follow the name rule; a file of empty lines is a valid zero-task catalog.
+    header = [column.strip() for column in next(filter(None, reader), [])]
     missing = [c for c in TASK_COLUMNS if c not in header] if header else []
     for column in missing:
         errors.append(Violation("error", str(task_path), f"missing column {column!r}"))

@@ -494,18 +494,28 @@ def demo_catalog(tmp_path, lines):
     return path, ["--tasks", str(path), "--elements", str(elements), "--scenario", str(scenario)]
 
 
-def test_task_header_names_may_have_blanks_around_them(tmp_path, capsys):
-    """The header as the tasks module and README print it, with a blank after each comma."""
-    for side, header in (("plain", DEMO_TASK_LINES[0]), ("spaced", " " + ", ".join(TASK_COLUMNS) + " \n")):
+def assert_validates_and_runs_as_the_demo_catalog(tmp_path, capsys, lines):
+    """The catalog written as ``lines`` validates, and runs to the demo catalog's bytes."""
+    for side, catalog in (("plain", DEMO_TASK_LINES), ("edited", lines)):
         folder = tmp_path / side
         folder.mkdir()
-        _, inputs = demo_catalog(folder, [header, *DEMO_TASK_LINES[1:]])
+        _, inputs = demo_catalog(folder, catalog)
         assert main(["validate", *inputs]) == 0
         assert "OK: 12 task(s), 7 element(s)" in capsys.readouterr().out
         assert main(["run", *inputs, "--length", "600", "--out", str(folder / "run")]) == 0
         capsys.readouterr()
     for output in ("metrics.csv", "trace.jsonl", "task_counts.csv"):
-        assert (tmp_path / "spaced" / "run" / output).read_bytes() == (tmp_path / "plain" / "run" / output).read_bytes()
+        assert (tmp_path / "edited" / "run" / output).read_bytes() == (tmp_path / "plain" / "run" / output).read_bytes()
+
+
+def test_task_header_names_may_have_blanks_around_them(tmp_path, capsys):
+    """The header as the tasks module and README print it, with a blank after each comma."""
+    header = " " + ", ".join(TASK_COLUMNS) + " \n"
+    assert_validates_and_runs_as_the_demo_catalog(tmp_path, capsys, [header, *DEMO_TASK_LINES[1:]])
+
+
+def test_the_task_header_is_the_first_line_that_is_not_empty(tmp_path, capsys):
+    assert_validates_and_runs_as_the_demo_catalog(tmp_path, capsys, ["\n", "\r\n", *DEMO_TASK_LINES])
 
 
 @pytest.mark.parametrize("again", ["Duration", " Duration "])

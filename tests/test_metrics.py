@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import hmisim
 
+from hmisim import metrics
 from hmisim.attention import AbortReason
 from hmisim.metrics import (
     COUNTS_CSV_HEADER,
@@ -28,7 +31,9 @@ from hmisim.metrics import (
     TraceRecord,
     TrialMetrics,
     aggregate,
+    _trace_record,
     eyes_off_contribution,
+    iter_trace,
     median_low,
     read_trace,
     trace_line,
@@ -419,6 +424,152 @@ def test_read_trace_shares_one_string_per_payload_key(tmp_path):
     keys = [key for record in read_trace(path) for key in record.payload]
     assert len(keys) == 100
     assert len({id(key) for key in keys}) == len(set(keys)) == 2
+
+
+def chunks_of(path):
+    """How many chunks ``iter_trace`` decodes the file at ``path`` in."""
+    with open(path, encoding="utf-8") as handle:
+        return sum(1 for _ in iter(lambda: handle.readlines(metrics._TRACE_CHUNK_HINT), []))
+
+
+def test_read_trace_shares_one_string_per_payload_key_within_each_chunk(tmp_path):
+    _, lines = long_trace(6000)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    chunks = chunks_of(path)
+    assert chunks > 2
+    ids: dict[str, set[int]] = {}
+    for record in read_trace(path):
+        for key in record.payload:
+            ids.setdefault(key, set()).add(id(key))
+    assert sorted(ids) == ["n", "task"]
+    assert all(len(strings) <= chunks for strings in ids.values())
+
+
+def read_line_by_line(path):
+    """``read_trace``'s reference: ``_trace_record`` of each line that is not blank."""
+    with open(path, encoding="utf-8") as handle:
+        return [_trace_record(line) for line in handle if not line.isspace()]
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        return type(exc)
+
+
+def test_a_record_with_a_comma_between_braces_in_a_name_is_read_line_by_line(tmp_path):
+    # '},{' in a task name looks like two records on one line, so its chunk is not
+    # trusted to the one decode call and is parsed again line by line.
+    records = [make_record(time=float(i), payload={"task": "a},{b" if i == 3 else "c"}) for i in range(6)]
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    with mock.patch.object(metrics, "_trace_record", side_effect=_trace_record) as per_line:
+        assert read_trace(path) == records
+    assert per_line.call_count == len(records)
+
+
+#: Text that is JSON syntax outside a string: braces, commas, quotes and backslashes.
+AWKWARD_TEXT = st.text(st.sampled_from('{},"\\ :[]ab\t'), max_size=8)
+AWKWARD_RECORD_FIELDS = st.tuples(
+    st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e9)),
+    AWKWARD_TEXT,
+    st.dictionaries(
+        AWKWARD_TEXT,
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), AWKWARD_TEXT,
+                  st.lists(AWKWARD_TEXT, max_size=3)),
+        max_size=4,
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.0),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+
+
+@st.composite
+def broken(draw, line):
+    """One record line broken: cut short, split where a comma was (the pieces may join
+    into one record again), two values on one line, not an object, or a key gone."""
+    raw = json.loads(line)
+    values = json.dumps(list(raw.values()))
+    commas = [i for i, c in enumerate(line) if c == ","]
+    at = draw(st.sampled_from(commas))
+    return draw(st.sampled_from([
+        [line[: draw(st.integers(0, len(line) - 1))]],
+        [line[:at], line[at + 1:]],
+        [draw(st.sampled_from([line, values])) + draw(st.sampled_from([",", ", ", " ,\t"])) + line],
+        [values],
+        [json.dumps({k: v for k, v in raw.items() if k != "level"})],
+    ]))
+
+
+@st.composite
+def trace_files(draw):
+    """The bytes of a trace file: record lines with JSON whitespace around them, blank
+    lines, now and then a broken line, LF or CRLF line ends, and maybe no last line end."""
+    lines = []
+    for fields_ in draw(st.lists(AWKWARD_RECORD_FIELDS, max_size=40)):
+        line = trace_line(*fields_)[:-1]
+        space = st.text(st.sampled_from(" \t"), max_size=2)
+        pieces = draw(broken(line)) if draw(st.integers(0, 3)) == 0 else [line]
+        lines += [draw(space) + piece + draw(space) for piece in pieces]
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\x0c", "\u00a0"]), max_size=2))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def joining_lines(last):
+    """Three lines that join into an array of three values though no line is one record:
+    a record split where a comma was (the pieces join again), then ``last``, two values."""
+    whole = make_record(payload={"xs": [[1], [2]]}).to_json()
+    head, tail = whole.split(", [2]")
+    return f"{head}\n[2]{tail}\n{last.format(whole)}\n".encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_files(), st.integers(1, 2048))
+@example(joining_lines("{0}, {0}"), 1 << 20)
+@example(joining_lines("[1, 2], {0}"), 1 << 20)
+def test_read_trace_reads_as_it_reads_line_by_line(tmp_path_factory, data, chunk_hint):
+    """Any file, decoded in chunks of any size, reads as it reads line by line, or raises the
+    same exception type; the small chunks make most files span several."""
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_bytes(data)
+    with mock.patch.object(metrics, "_TRACE_CHUNK_HINT", chunk_hint):
+        assert outcome(read_trace, path) == outcome(read_line_by_line, path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad-line"])
+def test_read_trace_pauses_the_cyclic_gc_and_leaves_it_as_it_found_it(tmp_path, enabled, bad):
+    _, lines = long_trace(20)
+    if bad:
+        lines.insert(5, BAD_LINES["missing"][0](json.loads(make_record().to_json())) + "\n")
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    seen = []
+
+    def spy(path):
+        seen.append(gc.isenabled())
+        yield from iter_trace(path)
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(metrics, "iter_trace", spy):
+            if bad:
+                with pytest.raises(TypeError):
+                    read_trace(path)
+            else:
+                assert len(read_trace(path)) == 20
+        assert (seen, gc.isenabled()) == ([False], enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_metrics_csv(tmp_path):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from hmisim.metrics import TraceRecord, read_trace, write_trace
+from hmisim.metrics import TraceRecord, iter_trace, read_trace, write_trace
 from hmisim.replay import ReplayedMetrics, check_safety_rules, check_tor_lead_times, replay_metrics
 from hmisim.trial import run_trial
 
@@ -61,6 +61,26 @@ def test_the_audits_leave_their_input_unchanged(tmp_path, demo_config, demo_scen
     assert audit() == first
     assert first[1].ok() and first[2].ok()
     assert records == read_trace(path)
+
+
+def test_the_audits_read_an_iterator_as_they_read_a_list(tmp_path, demo_config, demo_scenario):
+    length = 12000.0
+    path = tmp_path / "trace.jsonl"
+    write_trace(run_trial(demo_config, demo_scenario, 1, length).records, path)
+    vehicle = demo_scenario.vehicle
+
+    def audit(records):
+        return (
+            replay_metrics(records(), length),
+            check_safety_rules(records()),
+            check_tor_lead_times(records(), vehicle.tor_lead_seconds, vehicle.tor_final_seconds),
+        )
+
+    assert audit(lambda: iter_trace(path)) == audit(lambda: read_trace(path))
+    # the first record's awareness holds from t = 0, also when it is read from an iterator
+    late = [rec(2.0, "init", awareness=0.5), rec(4.0, "memory-update", awareness=1.0)]
+    assert replay_metrics(iter(late), 10.0) == replay_metrics(late, 10.0) == ReplayedMetrics(0.0, 0.0, 0.0, 8.0)
+    assert replay_metrics(iter([]), 8.0) == ReplayedMetrics(0.0, 0.0, 0.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
