@@ -1,10 +1,11 @@
 """Discrete-event simulation kernel.
 
 A single-trial simulation runs on one :class:`EventCalendar`: a priority
-queue of timestamped events ordered by ``(time, sequence)``, where the
-sequence number is assigned at scheduling time.  Two events with the same
-timestamp therefore fire in the order they were scheduled (FIFO), which
-makes every trial fully deterministic.
+queue of timestamped events ordered by ``(time, rank, sequence)``, where
+the rank puts the road's events first and the sequence number is assigned
+at scheduling time.  Two events of one rank with the same timestamp
+therefore fire in the order they were scheduled (FIFO), which makes every
+trial fully deterministic.
 
 Randomness is isolated in :class:`RandomStreams`: every stochastic source
 (road process, each periodic driver impulse, ...) pulls from its own named
@@ -42,17 +43,21 @@ class EventKind(str, Enum):
     SPEED_CHANGE = "speed-change"
 
 
+_ROAD_CHANGE, _TOR = EventKind.ROAD_CHANGE, EventKind.TOR  # the rank-0 kinds, compared by identity
+
+
 class EventCalendar:
     """Future event list with deterministic same-time ordering.
 
-    Every scheduled event is a heap entry ``(time, sequence, kind, payload)``
-    and fires exactly once, when :meth:`run_until` reaches its time.
+    Every scheduled event is a heap entry ``(time, rank, sequence, kind,
+    payload)`` and fires exactly once, when :meth:`run_until` reaches its
+    time.  The rank is 0 for a road change or take-over request, else 1.
     ``max_pending`` is the largest number of events ever waiting at once.
     """
 
     def __init__(self) -> None:
         self.clock: float = 0.0
-        self._heap: list[tuple[float, int, EventKind, Any]] = []
+        self._heap: list[tuple[float, int, int, EventKind, Any]] = []
         self._next_sequence = 0
         self.max_pending = 0
 
@@ -64,7 +69,8 @@ class EventCalendar:
             raise SimulationError(
                 f"cannot schedule {kind.value} at t={time} before current clock t={self.clock}"
             )
-        heapq.heappush(self._heap, (float(time), self._next_sequence, kind, payload))
+        rank = 0 if kind is _ROAD_CHANGE or kind is _TOR else 1
+        heapq.heappush(self._heap, (float(time), rank, self._next_sequence, kind, payload))
         self._next_sequence += 1
         if len(self._heap) > self.max_pending:
             self.max_pending = len(self._heap)
@@ -80,7 +86,7 @@ class EventCalendar:
         if t_end < self.clock:
             raise SimulationError(f"run_until({t_end}) is before current clock t={self.clock}")
         while self._heap and self._heap[0][0] <= t_end:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, _, _, kind, payload = heapq.heappop(self._heap)
             self.clock = time
             try:
                 dispatcher(time, kind, payload)

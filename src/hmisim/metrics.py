@@ -60,7 +60,7 @@ _encode = (
 )
 _TRACE_DECODER = json.JSONDecoder()
 #: About how many characters of lines :func:`iter_trace` decodes in one call.
-_TRACE_CHUNK_HINT = 256 * 1024
+_TRACE_CHUNK_HINT = 64 * 1024
 #: A comma between two objects with no line break around it: two records on one line.
 _TWO_OBJECTS = re.compile(r"\}[ \t\r]*,[ \t\r]*\{")
 

@@ -1,23 +1,23 @@
 """Single-trial orchestration.
 
 One trial wires a task configuration and a scenario onto the event
-kernel: the road timeline and take-over requests are scheduled up front,
-cognitive functions keep re-arming themselves, machine tasks are emitted
-by vehicle events, and every task request passes through attention
-admission.  Completing a task can refresh a driver belief, fire a follow-up
-task, and operate the automation level.  All of it is folded into the
-four trial indicators and, in a traced trial, recorded as a timeline trace.
+kernel: the road, the speed script and the cognitive functions each keep
+re-arming themselves, machine tasks are emitted by vehicle events, and
+every task request passes through attention admission.  Completing a
+task can refresh a driver belief, fire a follow-up task, and operate the
+automation level.  All of it is folded into the four trial indicators
+and, in a traced trial, recorded as a timeline trace.
 
 Within one completion the order is fixed: release and queue admissions,
 then the belief update, then the follow-up request, then the automation
-control action.  Ties on the calendar resolve by scheduling order.
+control action.  At equal times road and take-over events fire first, then FIFO.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, pairwise, takewhile
+from itertools import count
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -133,9 +133,8 @@ class _Trial:
             segments: Iterable[RoadSegment] = road.segments
         else:
             segments = generate_timeline(road, streams.stream(ROAD_STREAM))
-        # The trial keeps the segments that start within its length, the last one whole.
-        kept = takewhile(lambda segment: segment.start < trial_length, segments)
-        first = next(kept)  # it starts at 0, within any length
+        self._segments = iter(segments)
+        first = next(self._segments)  # it starts at 0, within any length
         vehicle = scenario.vehicle
         self.machine = AutomationStateMachine(
             first.max_level, vehicle.initial_level, scenario.bindings, scenario.speed.initial_value()
@@ -154,12 +153,7 @@ class _Trial:
         )
         self._update_awareness()
 
-        # Everything time-driven is scheduled before the clock starts: each
-        # road boundary and then its take-over requests, the speed script
-        # chain, and the first firing of every cognitive function.
-        for segment, following in pairwise(chain([first], kept)):
-            self.calendar.schedule(following.start, EventKind.ROAD_CHANGE, following)
-            schedule_tor(segment, following, self.calendar, vehicle.tor_lead_seconds, vehicle.tor_final_seconds)
+        self._schedule_boundary(first)
         self._speed_changes = scenario.speed.changes()
         self._schedule_speed_change()
         for function in scenario.cognitive_functions:
@@ -335,7 +329,16 @@ class _Trial:
             self._record_level(now, result, f"control:{task_name}", control.action)
         self._emit_bound(result.emitted, now, source="binding:level_change")
 
+    def _schedule_boundary(self, segment: RoadSegment) -> None:
+        """Schedule the road's next boundary and its take-over requests, if it starts before the length."""
+        following = next(self._segments, None)
+        if following is not None and following.start < self.length:
+            self.calendar.schedule(following.start, EventKind.ROAD_CHANGE, following)
+            vehicle = self.scenario.vehicle
+            schedule_tor(segment, following, self.calendar, vehicle.tor_lead_seconds, vehicle.tor_final_seconds)
+
     def _on_boundary(self, segment: RoadSegment, now: float) -> None:
+        self._schedule_boundary(segment)
         previous_max = self.machine.current_max
         result = self.machine.on_boundary(segment)
         self._update_awareness()

@@ -37,6 +37,37 @@ def test_simultaneous_events_fire_fifo():
     assert [p for _, _, p in fired] == ["first", "second", "third"]
 
 
+def test_road_and_take_over_events_fire_first_at_equal_times_and_each_rank_stays_fifo():
+    cal, fired, dispatch = make_calendar()
+    cal.schedule(2.0, EventKind.TRIGGER, "trigger")
+    cal.schedule(2.0, EventKind.SPEED_CHANGE, "speed")
+    cal.schedule(2.0, EventKind.TASK_END, "task-end")
+    cal.schedule(2.0, EventKind.TOR, "tor-a")
+    cal.schedule(2.0, EventKind.ROAD_CHANGE, "road")
+    cal.schedule(2.0, EventKind.TOR, "tor-b")
+    cal.schedule(2.0, EventKind.TRIGGER, "trigger-b")
+    cal.schedule(1.0, EventKind.TASK_END, "earlier")  # time still comes first
+    cal.run_until(5.0, dispatch)
+    assert [p for _, _, p in fired] == [
+        "earlier", "tor-a", "road", "tor-b", "trigger", "speed", "task-end", "trigger-b"
+    ]
+
+
+def test_a_take_over_scheduled_at_the_current_time_fires_before_other_kinds_already_due():
+    cal = EventCalendar()
+    seen: list[str] = []
+
+    def dispatch(time, kind, payload):
+        seen.append(payload)
+        if payload == "road":
+            cal.schedule(time, EventKind.TOR, "tor")
+
+    cal.schedule(1.0, EventKind.SPEED_CHANGE, "speed")
+    cal.schedule(1.0, EventKind.ROAD_CHANGE, "road")
+    cal.run_until(1.0, dispatch)
+    assert seen == ["road", "tor", "speed"]
+
+
 def test_run_until_is_inclusive_of_endpoint():
     cal, fired, dispatch = make_calendar()
     cal.schedule(4.0, EventKind.TRIGGER, "at-end")

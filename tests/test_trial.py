@@ -464,6 +464,34 @@ def test_a_road_change_fires_before_the_take_over_request_it_shares_a_time_with(
     assert road_and_tor_at(70.0) == [("road-change", None), ("vehicle-transition", "TOR10")]
 
 
+def test_a_road_change_fires_before_the_speed_change_it_shares_a_time_with(tmp_path, scripted_config):
+    # The speed change at 70 s is scheduled when the one at 45 s fires, before
+    # the road change at 70 s is scheduled (at 50 s); the road still goes first.
+    raw = yaml.safe_load((Path(__file__).parent / "data" / "scripted_scenario.yaml").read_text())
+    raw["road"] = {"fixed_segments": [[0, 50, 2], [50, 70, 4], [70, 100, 2]]}
+    raw["speed"] = {"steps": [[0, 50], [45, 60], [70, 80]]}
+    path = tmp_path / "speed_ties.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    records = run_trial(scripted_config, load_scenario(path), seed=1, trial_length=100.0).records
+    at_70 = [
+        r.kind if r.kind == "road-change" else r.payload["change"]
+        for r in records
+        if r.time == 70.0 and (r.kind == "road-change" or r.payload.get("change") == "speed")
+    ]
+    assert at_70 == ["road-change", "speed"]
+
+
+def test_the_calendar_depth_does_not_grow_with_the_trial_length(demo_config, demo_scenario):
+    functions = len(demo_scenario.cognitive_functions)
+    # One instance per attentional channel, one boundary with its two take-over requests, one speed change.
+    for length in (12_000.0, 120_000.0):
+        trial = trial_mod._Trial(demo_config, demo_scenario, 1, length, False)
+        trial.run()
+        assert trial.calendar.max_pending <= functions + 7 + 4
+    trial = trial_mod._Trial(demo_config, demo_scenario, 1, 6e7, False)
+    assert trial.calendar.max_pending <= functions + 4
+
+
 # ---------------------------------------------------------------------------
 # the world before L does not depend on L
 
@@ -475,6 +503,15 @@ def _road_and_speed_before(records, end):
         for r in records
         if r.time < end
         and (r.kind == "road-change" or (r.kind == "vehicle-transition" and r.payload["change"] == "speed"))
+    ]
+
+
+def _tors_for_boundaries_before(records, end):
+    """The ``(time, payload)`` of every take-over request for a road boundary before ``end``."""
+    return [
+        (r.time, r.payload)
+        for r in records
+        if r.kind == "vehicle-transition" and r.payload["change"] == "tor" and r.payload["boundary"] < end
     ]
 
 
@@ -543,6 +580,7 @@ def test_road_and_speed_before_the_shorter_length_do_not_depend_on_the_length(de
     first = run_trial(demo_config, scenario, seed, short).records
     second = run_trial(demo_config, scenario, seed, long).records
     assert _road_and_speed_before(first, short) == _road_and_speed_before(second, short)
+    assert _tors_for_boundaries_before(first, short) == _tors_for_boundaries_before(second, short)
 
 
 def test_the_scripted_fixed_road_and_speed_before_50_s_do_not_depend_on_the_length(
