@@ -28,6 +28,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from json.encoder import c_make_encoder, encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from statistics import median_low  # for an even count, the lower middle; re-exported as hmisim.median_low
 from typing import Any, Callable, Iterable, Iterator
@@ -95,7 +96,7 @@ class TrialMetrics:
         ]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     time: float
     kind: str
@@ -108,11 +109,13 @@ class TraceRecord:
 
     def to_json(self) -> str:
         """One JSON object whose keys follow the field order above: its :func:`trace_line`, unended."""
-        return trace_line(*vars(self).values())[:-1]
+        return trace_line(*_trace_fields_of(self))[:-1]
 
 
 #: The trace keys, in the order ``to_json`` writes them.
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
+#: A record's fields as a tuple, in that order.
+_trace_fields_of = attrgetter(*_TRACE_FIELDS)
 
 #: Where a collector sends each trace record, called with the record's fields in order.
 TraceSink = Callable[[float, str, dict[str, Any], float, float, float, int, int], object]
@@ -253,7 +256,7 @@ def aggregate(trials: list[TrialMetrics]) -> AggregateSummary:
 def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
     """Write one :func:`trace_line` per record, through :func:`~hmisim.tasks.replacing`."""
     with replacing(path) as handle:
-        handle.writelines(trace_line(*vars(record).values()) for record in records)
+        handle.writelines(trace_line(*_trace_fields_of(record)) for record in records)
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
@@ -275,6 +278,11 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
 def iter_trace(path: str | Path) -> Iterator[TraceRecord]:
     """Parse a trace, one record per line, skipping blank lines.
 
+    Lines are decoded about :data:`_TRACE_CHUNK_HINT` characters at a time.
+    Within a chunk decoded in one call, equal keys, kinds and ``str`` payload
+    values are one string each; nothing is shared across chunks, so reading
+    stays flat in memory however long the trace.
+
     A line with a missing or unknown key, or whose payload is not a JSON
     object, raises TypeError; a line that is not one JSON value, with only
     JSON whitespace around it, raises json.JSONDecodeError.  The first bad
@@ -288,14 +296,15 @@ def iter_trace(path: str | Path) -> Iterator[TraceRecord]:
                 yield from map(_trace_record, lines)  # the first bad line raises what it raises alone
             else:
                 del chunk, lines  # the records hold what they need of the text
-                yield from map(_trace_row, rows)
+                yield from _shared_records(rows)
 
 
 def _one_record_per_line(lines: list[str]) -> list[Any] | None:
     """The values of ``lines`` from one decode call, one per line, or None when they cannot
     be shown to be one object per line.
 
-    One call shares each key string across the chunk.  It is trusted when it gives as many
+    One call shares each key string across the chunk, and :func:`_shared_records` shares
+    its kinds and ``str`` payload values the same way.  It is trusted when it gives as many
     objects as lines and no comma sits between two objects with no line break around it.
     Proof: n values need n - 1 top-level commas.  Each line but the file's last ends with
     its line break, so a top-level comma inside a line would be such a comma, and each
@@ -310,6 +319,25 @@ def _one_record_per_line(lines: list[str]) -> list[Any] | None:
     if len(rows) != len(lines) or not all(type(row) is dict for row in rows) or _TWO_OBJECTS.search(text):
         return None
     return rows
+
+
+def _shared_records(rows: list[Any]) -> Iterator[TraceRecord]:
+    """The records of one chunk's rows, each ``kind`` and payload value that is a ``str``
+    replaced by the chunk's first equal string.
+
+    Only exact ``str`` values are shared: as dict keys ``1 == 1.0 == True`` and
+    ``0.0 == -0.0``, so sharing another value could change its type or its text.
+    """
+    share = {}.setdefault  # dropped with the chunk
+    for row in rows:
+        record = _trace_row(row)
+        if type(record.kind) is str:
+            record.kind = share(record.kind, record.kind)
+        payload = record.payload
+        for key, value in payload.items():
+            if type(value) is str:
+                payload[key] = share(value, value)  # replaces a value: the dict keeps its size
+        yield record
 
 
 def _trace_record(line: str) -> TraceRecord:

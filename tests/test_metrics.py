@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import fields
@@ -271,6 +274,11 @@ def dumped(record):
     return json.dumps(dict(zip(keys, record)), ensure_ascii=False) + "\n"
 
 
+def field_values(record):
+    """A record's fields, in order."""
+    return [getattr(record, f.name) for f in fields(TraceRecord)]
+
+
 
 @settings(max_examples=300, deadline=None)
 @given(RECORD_FIELDS)
@@ -298,6 +306,14 @@ def test_trace_line_without_the_c_encoder_writes_the_same_text():
         env={**os.environ, "PYTHONPATH": search_path}, check=True,
     )
     assert json.loads(done.stdout) == [dumped(f) for f in AWKWARD_FIELDS]
+
+
+def test_a_trace_record_is_slotted_and_still_pickles_copies_and_replaces():
+    record = make_record(payload={"task": "check_speed", "names": ["a", "b"]})
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record
+    assert dataclasses.replace(record) == record
 
 
 def test_trace_round_trip(tmp_path):
@@ -444,6 +460,72 @@ def test_read_trace_shares_one_string_per_payload_key_within_each_chunk(tmp_path
             ids.setdefault(key, set()).add(id(key))
     assert sorted(ids) == ["n", "task"]
     assert all(len(strings) <= chunks for strings in ids.values())
+
+
+def varied_trace(count):
+    """``count`` records whose kinds and payload strings repeat."""
+    kinds = ["task-start", "task-end", "trigger"]
+    return [
+        make_record(
+            time=float(i),
+            kind=kinds[i % 3],
+            payload={"task": f"check_{i % 5}", "function": f"look_{i % 2}", "n": i, "on": ["left", "right"]},
+        )
+        for i in range(count)
+    ]
+
+
+def string_ids(records):
+    """The ids of the string objects each text is held by, as a kind or a payload value."""
+    ids: dict[str, set[int]] = {}
+    for record in records:
+        for value in [record.kind, *record.payload.values()]:
+            if type(value) is str:
+                ids.setdefault(value, set()).add(id(value))
+    return ids
+
+
+@pytest.mark.parametrize("count", [50, 6000], ids=["one-chunk", "many-chunks"])
+def test_read_trace_shares_one_string_per_kind_and_payload_value_within_each_chunk(tmp_path, count):
+    # One string per record and value would hold over a hundred thousand copies of a few dozen texts in a demo trace.
+    path = tmp_path / "trace.jsonl"
+    write_trace(varied_trace(count), path)
+    chunks = chunks_of(path)
+    assert chunks == 1 if count == 50 else chunks > 2
+    ids = string_ids(read_trace(path))
+    assert len(ids) == 3 + 5 + 2
+    assert all(len(strings) <= chunks for strings in ids.values())  # in one chunk, exactly one each
+
+
+def test_sharing_strings_keeps_every_value_its_type_and_text(tmp_path):
+    # As dict keys 1 == 1.0 == True and 0.0 == -0.0: sharing such values would change them.
+    payloads = [
+        {"a": True, "b": 1, "c": 1.0},
+        {"a": 1.0, "b": True, "c": 1},
+        {"a": 1, "b": 1.0, "c": True},
+        {"zero": 0.0, "minus": -0.0},
+        {"zero": -0.0, "minus": 0.0},
+        {"x": float("nan"), "y": float("nan")},
+        {"names": ["left", "right"], "more": ["left", "look"]},
+        {"task": "look", "function": "look", "n": None},
+    ]
+    records = [make_record(time=float(i), payload=payload) for i, payload in enumerate(payloads)]
+    path = tmp_path / "trace.jsonl"
+    write_trace(records, path)
+    assert chunks_of(path) == 1
+    read = read_trace(path)
+    again = tmp_path / "again.jsonl"
+    write_trace(read, again)
+    assert again.read_bytes() == path.read_bytes()
+
+    def typed(records):
+        return [
+            [(type(value), repr(value)) for value in field_values(r)]
+            + [(key, type(value), repr(value)) for key, value in r.payload.items()]
+            for r in records
+        ]
+
+    assert typed(read) == typed(records)
 
 
 def read_line_by_line(path):
@@ -654,4 +736,4 @@ def test_a_trial_of_int_length_ends_its_trace_at_an_int_time(demo_config, demo_s
     assert (end.kind, end.time, type(end.time)) == ("trial-end", 600, int)
     with pytest.raises(TypeError):
         float.__repr__(end.time)
-    assert [trace_line(*vars(r).values()) for r in records] == [dumped(vars(r).values()) for r in records]
+    assert [trace_line(*field_values(r)) for r in records] == [dumped(field_values(r)) for r in records]
